@@ -21,8 +21,9 @@ DEFAULT_LOOP_MAX_Q = 8
 # Cayley tables above this many cells need override_limits (q=4 fits, q=5 not).
 MAX_TABLE_CELLS = 300_000_000
 
-# Permutation actions above this degree need override_limits (the q=3 net has
-# degree 1_166_400 and is out of default scope).
+# Permutation actions above this degree, and nets with more points than this,
+# need override_limits (the q=3 net has 1_166_400 points and is out of default
+# scope).
 MAX_PERM_DEGREE = 100_000
 
 # Full n^3 triple sweeps (Moufang / associativity) above this need sampling.

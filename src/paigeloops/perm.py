@@ -16,7 +16,7 @@ it.
 
 import numpy as np
 
-from . import config
+from . import _kernels_py, config
 from ._backend import kernels as _default_kernels
 from .errors import DomainError, InternalError, LimitError
 
@@ -325,22 +325,9 @@ class _Chain:
 
     def transversal_elem(self, l, posi):
         """u: bases[l] -> orbit point at position posi, as an image array."""
-        u = self.uinvs[l]
-        if u is not None:
-            return self.kern.invert(u[posi])
-        gs = self.genstacks[l]
-        sv = self.svs[l]
-        x = int(self.orbits[l][posi])
-        b = self.bases[l]
-        path = []
-        while x != b:
-            er = int(sv[x])
-            path.append(er)
-            x = int(gs[er ^ 1][x])
-        t = np.arange(self.d, dtype=np.int32)
-        for er in reversed(path):
-            np.take(gs[er], t, out=t)
-        return t
+        return _kernels_py._transversal_elem(l, posi, self.bases, self.svs,
+                                             self.genstacks, self.uinvs,
+                                             self.poss, self.orbits)
 
     def random_element(self, rng):
         t = None

@@ -6,6 +6,12 @@ kernel (the direction-preserving part).  S is generated by the reflections
 in the three lines through a chosen origin, sigma = the class-1 one, and
 rho = sigma_1 * sigma_2 (left-to-right composition).
 
+Gamma0, Gamma and the reflections act on the net's 3n lines, with line id
+(class - 1)*n + value as in `nets`.  The action is faithful: a point is the
+meet of its class-1 and class-2 lines, so a collineation fixing every line
+fixes every point.  The origin (i0, j0) is the meet of lines i0 and n + j0,
+and these two lines are the first base points of Gamma's chain.
+
 Conventions (order-sensitive): (p * q)(x) = q(p(x)), x^rho = rho^-1 x rho,
 and [g, s] = g^-1 s^-1 g s.
 """
@@ -14,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import kernels as _default_kernels
+from . import config
 from .errors import (CorrespondenceError, DomainError, InternalError,
-                     NotMoufangNetError)
-from .nets import LineRef, bol_reflection, is_collineation, line_image
+                     LimitError, NotMoufangNetError)
+from .nets import bol_reflection, is_collineation, line_image
 from .perm import PermGroup, Permutation
 
 # the six class actions as one-line maps {1,2,3} -> {1,2,3}
@@ -29,17 +35,19 @@ def _compose_action(a, b):
     return tuple(b[a[i - 1] - 1] for i in (1, 2, 3))
 
 
-def _invert_action(a):
-    out = [0, 0, 0]
-    for i in (1, 2, 3):
-        out[a[i - 1] - 1] = i
-    return tuple(out)
+def _line_permutation(verdict, n):
+    """The permutation of the 3n line ids induced by a verified
+    collineation."""
+    return Permutation(np.concatenate(
+        [(a - 1) * n + m for a, m in zip(verdict.direction_action,
+                                         verdict.value_maps)]
+    ).astype(np.int32), _checked=True)
 
 
 @dataclass(frozen=True)
 class TrialitySetup:
     net: object
-    origin: int
+    origin: int            # a point id i*n + j
     gamma0: PermGroup
     gamma: PermGroup
     # class action of each gamma0 input generator, aligned by index
@@ -57,13 +65,16 @@ class TrialitySetup:
         return o0, og, o0 // og
 
 
-def build_triality(net, origin=0, override_limits=False, kernels=None):
+def build_triality(net, origin=0, override_limits=False):
     """Construct Gamma0, Gamma, and the origin reflections for a Moufang
-    net; raises NotMoufangNetError when any Bol reflection fails to be a
-    collineation."""
-    if kernels is None:
-        kernels = _default_kernels
+    net, all acting on its lines; raises NotMoufangNetError when any Bol
+    reflection fails to be a collineation."""
     n = net.n
+    if n * n > config.MAX_PERM_DEGREE and not override_limits:
+        raise LimitError(
+            f"the net has {n * n} points, above {config.MAX_PERM_DEGREE}; "
+            "pass override_limits=True to force",
+            bound=config.MAX_PERM_DEGREE)
     if n < 2:
         raise DomainError("net too small for a triality setup")
     if not 0 <= origin < n * n:
@@ -72,13 +83,11 @@ def build_triality(net, origin=0, override_limits=False, kernels=None):
 
     reflections = []
     actions = []
-    seen = {}
-    origin_lines = (LineRef(1, i0), LineRef(2, j0),
-                    LineRef(3, int(net.loop.table[i0, j0])))
+    seen = set()
+    origin_lines = net.point_lines(origin)
     origin_refs = {}
     for line in net.lines():
-        r = bol_reflection(net, line)
-        v = is_collineation(net, r)
+        v = is_collineation(net, bol_reflection(net, line))
         if not v.ok:
             raise NotMoufangNetError(
                 f"Bol reflection at class {line.cls} value {line.value} "
@@ -87,17 +96,19 @@ def build_triality(net, origin=0, override_limits=False, kernels=None):
         if sorted(act) != [1, 2, 3] or act == _ID3:
             raise InternalError("reflection class action is not a "
                                 "transposition")
+        r = _line_permutation(v, n)
         if line in origin_lines:
             origin_refs[line.cls] = r
         key = r.images.tobytes()
         if key not in seen:
-            seen[key] = len(reflections)
+            seen.add(key)
             reflections.append(r)
             actions.append(act)
 
-    gamma0 = PermGroup(reflections, degree=n * n,
-                       override_limits=override_limits, kernels=kernels,
-                       base_hint=[origin])
+    d = 3 * n
+    base = [i0, n + j0]
+    gamma0 = PermGroup(reflections, degree=d,
+                       override_limits=override_limits, base_hint=base)
 
     s1 = origin_refs[1]
     s2 = origin_refs[2]
@@ -106,7 +117,7 @@ def build_triality(net, origin=0, override_limits=False, kernels=None):
     a2 = (3, 2, 1)
     # transversal of the class-action kernel: 1, s1, s2, s1s2, s2s1, s1s2s1
     trans = {
-        _ID3: Permutation.identity(n * n),
+        _ID3: Permutation.identity(d),
         a1: s1,
         a2: s2,
         _compose_action(a1, a2): s1 * s2,
@@ -127,18 +138,12 @@ def build_triality(net, origin=0, override_limits=False, kernels=None):
             if not k.is_identity() and key not in kseen:
                 kseen.add(key)
                 kern_gens.append(k)
-    gamma = PermGroup(kern_gens, degree=n * n,
-                      override_limits=override_limits, kernels=kernels,
-                      base_hint=[origin])
+    gamma = PermGroup(kern_gens, degree=d,
+                      override_limits=override_limits, base_hint=base)
 
     return TrialitySetup(net=net, origin=int(origin), gamma0=gamma0,
                          gamma=gamma, gen_actions=tuple(actions),
                          S_gens=(s1, s2, s3), sigma=s1, rho=s1 * s2)
-
-
-def _conj(x, r, rinv):
-    """x^r = r^-1 x r."""
-    return rinv * x * r
 
 
 def _commutator(g, s):
@@ -213,8 +218,7 @@ def verify_triality_axioms(T, samples=1000, seed=0):
     for g in T.gamma.generators:
         for s in (sigma, rho):
             comm_gens.append(_commutator(g, s))
-    H = PermGroup(comm_gens, degree=d, override_limits=True,
-                  kernels=T.gamma._kern, base_hint=[T.origin])
+    H = PermGroup(comm_gens, degree=d, override_limits=True)
     ok = H.order == T.gamma.order
     report.append({"axiom": "gamma_commutator_span",
                    "checked": len(comm_gens), "failures": 0 if ok else 1})
@@ -232,11 +236,15 @@ class StabilizerCorrespondence:
 
 
 def origin_stabilizer_automorphisms(T):
-    """Enumerate Stab_Gamma(origin), read each element's action on the
-    origin's class-1 line as a candidate map alpha, and verify the element
-    is exactly (x, y) -> (alpha(x), alpha(y)) with alpha a loop
-    automorphism.  Returns the group of the alphas with the verified
-    image arrays."""
+    """Read Stab_Gamma(origin) as loop automorphisms.
+
+    The origin (0, 0) is the meet of lines 0 and n.  Each generator of their
+    joint stabilizer must act on all three line classes by one map alpha,
+    so that it sends the point (x, y) to (alpha(x), alpha(y)), and alpha
+    must be multiplicative.  The elements passing both checks form a
+    subgroup, so checking the generators covers the whole stabilizer.
+    Returns the group of the alphas with all its elements as image
+    arrays."""
     net = T.net
     n = net.n
     if T.origin != 0:
@@ -244,38 +252,31 @@ def origin_stabilizer_automorphisms(T):
             "the correspondence reads maps in the loop's own coordinates, "
             "which requires the setup based at the identity point (0, 0); "
             "coordinatize at the other origin with coordinate_loop first")
-    if not T.gamma.is_transitive():
+    stab1 = T.gamma.point_stabilizer(0)
+    stab = stab1.point_stabilizer(n)
+    # the first two basic orbit sizes of a chain based at lines 0 and n
+    if (T.gamma.order // stab1.order, stab1.order // stab.order) != (n, n):
         raise DomainError("Gamma is not transitive on the net's points")
-    i0, j0 = divmod(T.origin, n)
-    stab = T.gamma.point_stabilizer(T.origin)
     tbl = net.loop.table.astype(np.int64)
-    line_pts = i0 * n + np.arange(n, dtype=np.int64)
-    alphas = []
-    for s in stab.elements():
-        img = s.images.astype(np.int64)
-        on_line = img[line_pts]
-        if (on_line // n != i0).any():
+    shift = (np.arange(3, dtype=np.int64) * n)[:, None]
+    gens = []
+    for g in stab.generators:
+        img = g.images.astype(np.int64).reshape(3, n)
+        alpha = img[0]
+        if not (img == alpha + shift).all():
             raise CorrespondenceError(
-                "a stabilizer element moves the origin's class-1 line")
-        alpha = on_line % n
-        expected = (alpha * n)[:, None] + alpha[None, :]
-        if not (img.reshape(n, n) == expected).all():
-            raise CorrespondenceError(
-                "a stabilizer element does not act coordinatewise")
+                "a stabilizer generator acts by different maps on the "
+                "three line classes")
         if not (alpha[tbl] == tbl[np.ix_(alpha, alpha)]).all():
             raise CorrespondenceError(
                 "an induced map is not multiplicative")
-        alphas.append(alpha.astype(np.int32))
-    arr = np.array(alphas, dtype=np.int32)
-    order = np.lexsort(arr.T[::-1])
-    arr = arr[order]
-    gens = [Permutation(a, _checked=True) for a in arr
-            if (a != np.arange(n, dtype=np.int32)).any()]
-    group = PermGroup(gens if gens else [],
-                      degree=n, kernels=T.gamma._kern)
-    if group.order != len(arr):
+        gens.append(Permutation(alpha, _checked=True))
+    group = PermGroup(gens, degree=n)
+    if group.order != stab.order:
         raise InternalError("alpha group order mismatch")
-    return StabilizerCorrespondence(group=group.reduced(), alphas=arr)
+    arr = np.array([p.images for p in group.elements()], dtype=np.int32)
+    arr = arr[np.lexsort(arr.T[::-1])]
+    return StabilizerCorrespondence(group=group, alphas=arr)
 
 
 def induced_automorphism_check(T, alpha):
@@ -295,17 +296,15 @@ def induced_automorphism_check(T, alpha):
     if not (alpha[tbl] == tbl[np.ix_(alpha, alpha)]).all():
         raise DomainError("alpha is not multiplicative")
 
-    sharp = Permutation(
-        ((alpha * n)[:, None] + alpha[None, :]).ravel().astype(np.int32),
-        _checked=True)
+    sharp = ((alpha * n)[:, None] + alpha[None, :]).ravel()
     v = is_collineation(net, sharp)
-    i0, j0 = divmod(T.origin, n)
-    origin_lines = (LineRef(1, i0), LineRef(2, j0),
-                    LineRef(3, int(net.loop.table[i0, j0])))
     fixes_lines = bool(v.ok) and all(
-        line_image(v, l) == l for l in origin_lines)
-    sharp_inv = sharp.inverse()
-    centralizes = all(sharp * s * sharp_inv == s for s in T.S_gens)
+        line_image(v, l) == l for l in net.point_lines(T.origin))
+    centralizes = False
+    if v.ok:
+        g = _line_permutation(v, n)
+        ginv = g.inverse()
+        centralizes = all(g * s * ginv == s for s in T.S_gens)
     report = {
         "collineation": bool(v.ok),
         "direction_preserving": bool(v.ok) and v.direction_action == _ID3,

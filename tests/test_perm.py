@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -244,7 +245,8 @@ def test_pure_python_backend_selectable_by_env():
             "print(g.order)\n"
             "print(g.point_stabilizer(2).order)\n")
     out = subprocess.run([sys.executable, "-c", code],
-                         env={"PAIGELOOPS_BACKEND": "py", "PATH": "/usr/bin"},
+                         env={"PAIGELOOPS_BACKEND": "py", "PATH": "/usr/bin",
+                              "PYTHONPATH": os.environ.get("PYTHONPATH", "")},
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["py", "120", "24"]

@@ -1,10 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from paigeloops import (DomainError, NotMoufangNetError, PermGroup,
-                        Permutation, central_elements,
-                        induced_automorphism_check, is_loop_automorphism,
-                        net_from_loop, origin_stabilizer_automorphisms)
+from paigeloops import (CorrespondenceError, DomainError, LimitError,
+                        NotMoufangNetError, PermGroup, Permutation,
+                        central_elements, config, induced_automorphism_check,
+                        is_loop_automorphism, net_from_loop,
+                        origin_stabilizer_automorphisms, triality)
 from paigeloops.autos import aut_backtrack
 from paigeloops.triality import build_triality, verify_triality_axioms
 
@@ -22,6 +25,29 @@ def tri_c4(c4):
 def test_group_net_orders(tri_s3, tri_c4):
     assert tri_s3.orders() == (648, 108, 6)
     assert tri_c4.orders() == (96, 16, 6)
+    for T in (tri_s3, tri_c4):
+        assert T.gamma.degree == T.gamma0.degree == 3 * T.net.n
+
+
+def test_oversized_net_refused_before_any_reflection(s3, monkeypatch):
+    def no_reflection(net, line):
+        raise AssertionError("a reflection was built")
+
+    monkeypatch.setattr(config, "MAX_PERM_DEGREE", 35)
+    monkeypatch.setattr(triality, "bol_reflection", no_reflection)
+    with pytest.raises(LimitError):
+        build_triality(net_from_loop(s3))
+
+
+def test_generator_check_rejects_mixed_class_maps(tri_s3):
+    n = tri_s3.net.n
+    # class-1 lines 1 and 2 swapped, every other line fixed: it fixes the
+    # origin's lines, but its class-1 and class-2 maps differ
+    bad = Permutation.from_cycles(3 * n, [(1, 2)])
+    gamma = PermGroup(list(tri_s3.gamma.generators) + [bad])
+    T = dataclasses.replace(tri_s3, gamma=gamma)
+    with pytest.raises(CorrespondenceError):
+        origin_stabilizer_automorphisms(T)
 
 
 def test_sigma_rho_generate_s3_pattern(tri_s3):
@@ -78,8 +104,8 @@ def test_every_s3_automorphism_passes_the_forward_check(tri_s3, s3):
         report = induced_automorphism_check(tri_s3, a.images)
         assert report["passed"], report
         passed += 1
-        sharp = (a.images.astype(np.int64) * n)[:, None] + a.images[None, :]
-        if Permutation(sharp.ravel().astype(np.int32)) in tri_s3.gamma:
+        lines = np.concatenate([a.images, a.images + n, a.images + 2 * n])
+        if Permutation(lines) in tri_s3.gamma:
             in_gamma += 1
     assert passed == 6
     # only the inner automorphisms by squares are products of Bol
