@@ -4,7 +4,10 @@ Three independent generator supplies: exhaustive backtracking over the
 Cayley table, the entrywise field Frobenius on Zorn representatives, and
 conjugation by octonion units.  Every map returned by any of them is
 validated as a loop automorphism directly; nothing is trusted on the
-strength of a theorem.
+strength of a theorem.  The conjugation scan rejects a unit only on a
+witness cell T[a, b] that its map breaks, and accepts a map either by the
+full n^2 check or as a member of the group generated by maps that passed
+it.
 """
 
 from dataclasses import dataclass
@@ -12,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
+from ._backend import kernels
 from .errors import DomainError, InternalError, LimitError
 from .gf import _factor_prime_power, field
 from .loops import (
@@ -22,7 +26,7 @@ from .loops import (
     paige_representatives,
     subloop_closure,
 )
-from .perm import Permutation, PermGroup
+from .perm import Permutation, PermGroup, _Chain
 from .zorn import oct_canonical, oct_conj, oct_mul, oct_norm
 
 __all__ = [
@@ -236,49 +240,102 @@ def frobenius_on_paige(q):
     return LoopAutomorphism(perm)
 
 
-def _all_units(F):
-    """All Zorn matrices of nonzero norm over F, as an (m, 8) array."""
+# Screen cells: the products T[a, b] for a in _SCREEN_A and b in _SCREEN_B.
+_SCREEN_A = np.arange(1, 5)
+_SCREEN_B = np.arange(1, 33)
+# (unit, element) pairs conjugated in one batch; bounds the oct_mul
+# temporaries, which unchunked at q = 3 would hold 2,160 x 1,080 x 8 int16
+# coordinates (37 MB) each.
+_CHUNK_CELLS = 1 << 16
+
+
+def _conjugation_setup(F):
+    """(units, inverses, representatives, address book) for the unit scan.
+
+    One unit per scalar class: u and c*u induce the same conjugation, so
+    only the Zorn matrices of nonzero norm whose first nonzero coordinate
+    is 1 are kept.  addr maps a representative's base-q key to its loop
+    index."""
     q = F.q
     grid = np.indices((q,) * 8).reshape(8, -1).T.astype(np.int16)
-    return grid[oct_norm(F, grid) != 0]
+    lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
+    units = grid[(lead == 1) & (oct_norm(F, grid) != 0)]
+    inv_norms = F.inv_table[oct_norm(F, units)]
+    uinvs = F.mul_table[inv_norms[:, None], oct_conj(F, units)]
+    reps = paige_representatives(q)
+    addr = np.full(q ** 8, -1, dtype=np.int32)
+    addr[_rep_address(q, reps)] = np.arange(len(reps), dtype=np.int32)
+    return units, uinvs, reps, addr
 
 
-def conjugation_autos(F, progress=None):
-    """The group generated by every conjugation x -> (u x) u^{-1} of
-    M*(q) by a unit u of the split octonions that validates as a loop
-    automorphism.  Each candidate map is checked on all n^2 pairs."""
+def _conjugations(F, units, uinvs, X, addr):
+    """Loop index of (u x) u^{-1} for each unit u (rows) and each Zorn
+    representative x in X (columns)."""
+    z = oct_mul(F, oct_mul(F, units[:, None], X[None]), uinvs[:, None])
+    img = addr[_rep_address(F.q, oct_canonical(F, z))]
+    if img.size and img.min() < 0:
+        raise InternalError("conjugation image left the representative set")
+    return img
+
+
+def _screen(F, T, units, uinvs, reps, addr):
+    """Mask of the units whose conjugation phi keeps
+    phi(T[a, b]) == T[phi(a), phi(b)] on every screen cell.  A unit that
+    fails has a witness cell, so its map is no automorphism; a unit that
+    passes is only a candidate."""
+    A, B = _SCREEN_A, _SCREEN_B
+    cells = T[np.ix_(A, B)]
+    S, pos = np.unique(np.concatenate([A, B, cells.ravel()]),
+                       return_inverse=True)
+    img = _conjugations(F, units, uinvs, reps[S], addr)
+    fa = img[:, pos[:len(A)], None]
+    fb = img[:, None, pos[len(A):len(A) + len(B)]]
+    fab = img[:, pos[len(A) + len(B):].reshape(cells.shape)]
+    return (fab == T[fa, fb]).all(axis=(1, 2))
+
+
+def conjugation_autos(F, L=None, progress=None):
+    """The group generated by the conjugations x -> (u x) u^{-1} of M*(q),
+    for units u of the split octonions, that are loop automorphisms.
+
+    One unit per scalar class is scanned, in chunks.  A unit is rejected
+    when its map breaks a product on one of the screen cells; that cell is
+    a witness.  The maps of the other units are induced in full and
+    sifted into the group built so far.  A member is a product of checked
+    automorphisms and is skipped; a non-member is added only if it passes
+    the full n^2 check.  The returned generators are the maps that grew
+    the group.  L, if given, must be paige_loop(F.q); progress(done,
+    total) is called once per chunk with the number of units scanned."""
     q = F.q
     if q not in (2, 3):
         raise LimitError("unit scan supported at q in {2, 3}", bound=3)
-    reps = paige_representatives(q)
-    L = paige_loop(q)
-    n = len(L)
-    addr = np.full(q ** 8, -1, dtype=np.int32)
-    addr[_rep_address(q, reps)] = np.arange(n, dtype=np.int32)
-    units = _all_units(F)
-    norms = oct_norm(F, units)
-    inv_norms = F.inv_table[norms]
-    uinvs = F.mul_table[inv_norms[:, None], oct_conj(F, units)]
-    maps = np.empty((len(units), n), dtype=np.int32)
-    for i in range(len(units)):
-        u = np.broadcast_to(units[i], reps.shape)
-        ui = np.broadcast_to(uinvs[i], reps.shape)
-        z = oct_mul(F, oct_mul(F, u, reps), ui)
-        if F.p != 2:
-            z = oct_canonical(F, z)
-        maps[i] = addr[_rep_address(q, z)]
-    if maps.min() < 0:
-        raise InternalError("conjugation image left the representative set")
-    maps = np.unique(maps, axis=0)
-    kept = []
-    for i, row in enumerate(maps):
-        if is_loop_automorphism(L, row):
-            kept.append(Permutation(row))
-        if progress is not None and i % 256 == 0:
-            progress(i, len(maps))
-    if not kept:
+    units, uinvs, reps, addr = _conjugation_setup(F)
+    n = len(reps)
+    if L is None:
+        L = paige_loop(q)
+    elif len(L) != n:
+        raise DomainError(f"the loop has {len(L)} elements, M*({q}) has {n}")
+    T = L.table
+    m = len(units)
+    step = max(1, _CHUNK_CELLS // n)
+    ch = _Chain(n, kernels)
+    added = []
+    for start in range(0, m, step):
+        U, Ui = units[start:start + step], uinvs[start:start + step]
+        keep = _screen(F, T, U, Ui, reps, addr)
+        for row in _conjugations(F, U[keep], Ui[keep], reps, addr):
+            if ch.is_member(row):
+                continue
+            if is_loop_automorphism(L, row):
+                ch.add_input_generator(row)
+                added.append(row.copy())
+        if progress is not None:
+            progress(min(start + step, m), m)
+    ch.release_caches()
+    if not added:
         raise InternalError("no conjugation validated as an automorphism")
-    return PermGroup(kept, degree=n).reduced()
+    return PermGroup([Permutation(a, _checked=True) for a in added],
+                     degree=n, _chain=ch)
 
 
 # -- summary ------------------------------------------------------------
@@ -305,20 +362,22 @@ def aut_summary(q, methods=None):
                 "methods": [], "match": None}
     if methods is None:
         methods = ["backtrack", "conjugation"] if q == 2 else ["conjugation"]
+    for m in methods:
+        if m not in ("backtrack", "conjugation", "stabilizer"):
+            raise DomainError(f"unknown method {m!r}")
+    L = paige_loop(q)
     values = {}
     for m in methods:
         if m == "backtrack":
-            values[m] = aut_backtrack(paige_loop(q)).order
+            values[m] = aut_backtrack(L).order
         elif m == "conjugation":
-            values[m] = conjugation_autos(field(q)).order
-        elif m == "stabilizer":
+            values[m] = conjugation_autos(field(q), L).order
+        else:
             from .nets import net_from_loop
             from .triality import build_triality, \
                 origin_stabilizer_automorphisms
-            T = build_triality(net_from_loop(paige_loop(q)))
+            T = build_triality(net_from_loop(L))
             values[m] = origin_stabilizer_automorphisms(T).group.order
-        else:
-            raise DomainError(f"unknown method {m!r}")
     computed = max(values.values())
     return {"q": q, "computed": str(computed), "predicted": str(predicted),
             "methods": list(methods), "match": computed == predicted}

@@ -82,7 +82,8 @@ class FiniteLoop:
     def rdiv_table(self):
         """rdiv_table[a, b] = the x with x*a = b."""
         if self._rdiv is None:
-            self._rdiv = np.argsort(self.table, axis=0).T.copy()
+            self._rdiv = np.argsort(self.table, axis=0).T.astype(
+                self.table.dtype, order="C")
         return self._rdiv
 
     def ldiv(self, a, b):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from paigeloops import autos
 from paigeloops import (DomainError, LimitError, LoopAutomorphism,
                         Permutation, aut_backtrack, aut_summary,
                         conjugation_autos, field, frobenius_on_paige,
@@ -85,6 +86,77 @@ def test_conjugation_subgroup_at_q2(conj2, aut2, paige2):
 def test_conjugation_rejects_large_fields():
     with pytest.raises(LimitError):
         conjugation_autos(field(4))
+
+
+def test_conjugation_rejects_a_loop_of_the_wrong_order(s3):
+    with pytest.raises(DomainError):
+        conjugation_autos(field(2), s3)
+
+
+def test_conjugation_screen_against_full_check(paige2):
+    """Every screened-out unit has a map that also fails the n^2 check,
+    and the screen keeps exactly the 57 automorphisms of the 120 maps."""
+    F = field(2)
+    units, uinvs, reps, addr = autos._conjugation_setup(F)
+    maps = autos._conjugations(F, units, uinvs, reps, addr)
+    assert len(np.unique(maps, axis=0)) == len(maps) == 120
+    full = np.array([is_loop_automorphism(paige2, m) for m in maps])
+    screen = autos._screen(F, paige2.table, units, uinvs, reps, addr)
+    assert full.sum() == 57
+    assert not (full & ~screen).any()
+    assert (screen == full).all()
+
+
+def test_conjugation_sift_and_check_alone(monkeypatch, paige2):
+    monkeypatch.setattr(
+        autos, "_screen", lambda F, T, units, *rest: np.ones(len(units), bool))
+    c = conjugation_autos(field(2), paige2)
+    assert c.order == 6048
+    for p in c.generators:
+        assert is_loop_automorphism(paige2, p.images)
+
+
+def test_conjugation_full_checks_only_growing_maps(monkeypatch, conj2):
+    calls = []
+    check = autos.is_loop_automorphism
+
+    def counted(L, images):
+        calls.append(1)
+        return check(L, images)
+
+    monkeypatch.setattr(autos, "is_loop_automorphism", counted)
+    c = conjugation_autos(field(2))
+    assert len(calls) <= len(c.generators) + 4
+    assert [p.images.tolist() for p in c.generators] == \
+        [p.images.tolist() for p in conj2().generators]
+
+
+def test_conjugation_progress_per_chunk(monkeypatch, paige2):
+    monkeypatch.setattr(autos, "_CHUNK_CELLS", 16 * len(paige2))
+    seen = []
+    c = conjugation_autos(field(2), paige2,
+                          progress=lambda done, total: seen.append(
+                              (done, total)))
+    assert c.order == 6048
+    assert len(seen) == 8
+    assert all(t == 120 for _, t in seen)
+    done = [d for d, _ in seen]
+    assert done == sorted(done) and len(set(done)) == len(done)
+    assert done[-1] == 120
+
+
+def test_aut_summary_builds_the_loop_once(monkeypatch):
+    built = []
+    build = autos.paige_loop
+
+    def counted(q):
+        built.append(q)
+        return build(q)
+
+    monkeypatch.setattr(autos, "paige_loop", counted)
+    s = aut_summary(2, methods=["conjugation", "stabilizer"])
+    assert s["computed"] == "12096" and s["match"] is True
+    assert built == [2]
 
 
 def test_frobenius_trivial_on_prime_fields():

@@ -36,6 +36,15 @@ def test_division(s3):
         loop_divide(s3, "middle", 0, 1)
 
 
+def test_division_tables_on_paige2(paige2):
+    T = paige2.table
+    ldiv, rdiv = paige2.ldiv_table, paige2.rdiv_table
+    assert ldiv.dtype == rdiv.dtype == T.dtype
+    rows = np.arange(len(paige2))[:, None]
+    assert (T[rows, ldiv] == np.arange(len(paige2))).all()
+    assert (T[rdiv, rows] == np.arange(len(paige2))).all()
+
+
 def test_translations(s3):
     for a in range(6):
         lt = s3.left_translation(a)
