@@ -15,7 +15,8 @@ import time
 
 import numpy as np
 
-from paigeloops import _kernels_py
+from paigeloops import _kernels_py, kernel_backend
+from paigeloops.autos import conjugation_autos
 from paigeloops.gf import field
 from paigeloops.loops import (_rep_address, multiplication_group,
                               paige_loop, paige_representatives)
@@ -89,6 +90,18 @@ def bench_bsgs(kern, q, order, repeat):
     return {f"bsgs Mlt(M*({q})) deg {L.n}": _best_of(repeat, run)}
 
 
+def bench_conjugation(repeat):
+    """The conjugation route at q = 3 with M*(3) already built and held,
+    so the shared loop is reused and only the unit scan is timed."""
+    F = field(3)
+    L = paige_loop(3)   # held, so conjugation_autos(F) reuses it
+
+    def run():
+        assert conjugation_autos(F).order == 4_245_696
+
+    return {"conjugation_autos q = 3 (loop held)": _best_of(repeat, run)}
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
@@ -118,9 +131,11 @@ def main():
         if not args.quick:
             rows.update(bench_bsgs(kern, 3, 4_952_179_814_400, repeat))
         results[name] = rows
+    # the route calls the active backend only, so it gets one column
+    conj = bench_conjugation(repeat)
 
     labels = list(results[backends[0][0]])
-    width = max(len(s) for s in labels)
+    width = max(len(s) for s in labels + list(conj))
     if _kernels is not None:
         print(f"{'workload':<{width}}  {'py (s)':>10}  {'c (s)':>10}  speedup")
         for lab in labels:
@@ -132,6 +147,8 @@ def main():
         print(f"{'workload':<{width}}  {'py (s)':>10}")
         for lab in labels:
             print(f"{lab:<{width}}  {results['py'][lab]:>10.4f}")
+    for lab, t in conj.items():
+        print(f"{lab:<{width}}  {t:>10.4f}  (backend {kernel_backend()})")
 
 
 if __name__ == "__main__":

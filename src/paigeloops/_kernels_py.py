@@ -182,17 +182,24 @@ def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
     of level lev and orbit positions startpos.. in order.
 
     Sifting t = u_p s from level lev absorbs the trailing u_{s(p)}^{-1} as
-    the level-lev reduction step.  Returns (next position, None) when the
-    run completes, or (failing position, residue) at the first nontrivial
+    the level-lev reduction step.  With the level's transversal cached,
+    t = u_p s is scattered from the cached u_p^{-1} without inverting it:
+    t[u_p^{-1}(y)] = s(y).  Returns (next position, None) when the run
+    completes, or (failing position, residue) at the first nontrivial
     residue.
     """
     srow = genstacks[lev][2 * gi]
     nstop = norbits[lev]
     ident = np.arange(len(srow), dtype=np.int32)
+    u = uinvs[lev]
     for posi in range(startpos, nstop):
-        t = _transversal_elem(lev, posi, bases, svs, genstacks, uinvs, poss,
-                              orbits)
-        np.take(srow, t, out=t)
+        if u is not None:
+            t = np.empty_like(srow)
+            t[u[posi]] = srow
+        else:
+            t = _transversal_elem(lev, posi, bases, svs, genstacks, uinvs,
+                                  poss, orbits)
+            np.take(srow, t, out=t)
         stop = sift_run(t, lev, bases, svs, genstacks, uinvs, poss)
         if stop < len(bases) or not (t == ident).all():
             return posi, t

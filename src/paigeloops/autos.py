@@ -4,10 +4,11 @@ Three independent generator supplies: exhaustive backtracking over the
 Cayley table, the entrywise field Frobenius on Zorn representatives, and
 conjugation by octonion units.  Every map returned by any of them is
 validated as a loop automorphism directly; nothing is trusted on the
-strength of a theorem.  The conjugation scan rejects a unit only on a
-witness cell T[a, b] that its map breaks, and accepts a map either by the
-full n^2 check or as a member of the group generated by maps that passed
-it.
+strength of a theorem.  The conjugation scan applies each unit's map as
+an 8x8 matrix over GF(p), built with oct_mul (the Zorn product is
+bilinear, so the map is linear).  It rejects a unit only on a witness
+cell T[a, b] that its map breaks, and accepts a map either by the full
+n^2 check or as a member of the group generated by maps that passed it.
 """
 
 from dataclasses import dataclass
@@ -243,42 +244,47 @@ def frobenius_on_paige(q):
 # Screen cells: the products T[a, b] for a in _SCREEN_A and b in _SCREEN_B.
 _SCREEN_A = np.arange(1, 5)
 _SCREEN_B = np.arange(1, 33)
-# (unit, element) pairs conjugated in one batch; bounds the oct_mul
-# temporaries, which unchunked at q = 3 would hold 2,160 x 1,080 x 8 int16
-# coordinates (37 MB) each.
+# (unit, element) pairs induced in one batch; bounds the temporaries, which
+# unchunked at q = 3 would hold 2,160 x 1,080 x 8 coordinates each.
 _CHUNK_CELLS = 1 << 16
 
 
 def _conjugation_setup(F):
-    """(units, inverses, representatives, address book) for the unit scan.
+    """(matrices, representatives, address book) for the unit scan.
 
     One unit per scalar class: u and c*u induce the same conjugation, so
     only the Zorn matrices of nonzero norm whose first nonzero coordinate
-    is 1 are kept.  addr maps a representative's base-q key to its loop
-    index."""
+    is 1 are kept.  The Zorn product is bilinear, so x -> (u x) u^{-1} is
+    linear; row i of a unit's 8x8 matrix is the image of the i-th basis
+    vector, computed with oct_mul, and x maps to x @ M.  addr maps a
+    representative's base-q key to its loop index."""
     q = F.q
     grid = np.indices((q,) * 8).reshape(8, -1).T.astype(np.int16)
     lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
     units = grid[(lead == 1) & (oct_norm(F, grid) != 0)]
     inv_norms = F.inv_table[oct_norm(F, units)]
     uinvs = F.mul_table[inv_norms[:, None], oct_conj(F, units)]
+    basis = np.eye(8, dtype=np.int16)
+    mats = oct_mul(F, oct_mul(F, units[:, None], basis[None]),
+                   uinvs[:, None])
     reps = paige_representatives(q)
     addr = np.full(q ** 8, -1, dtype=np.int32)
     addr[_rep_address(q, reps)] = np.arange(len(reps), dtype=np.int32)
-    return units, uinvs, reps, addr
+    return mats, reps, addr
 
 
-def _conjugations(F, units, uinvs, X, addr):
-    """Loop index of (u x) u^{-1} for each unit u (rows) and each Zorn
-    representative x in X (columns)."""
-    z = oct_mul(F, oct_mul(F, units[:, None], X[None]), uinvs[:, None])
+def _images(F, mats, X, addr):
+    """Loop index of x @ M for each conjugation matrix M (rows) and each
+    Zorn representative x in X (columns).  Exact mod p: the scan runs over
+    prime fields only, whose elements are the integers 0..p-1."""
+    z = np.matmul(X, mats) % F.p
     img = addr[_rep_address(F.q, oct_canonical(F, z))]
     if img.size and img.min() < 0:
         raise InternalError("conjugation image left the representative set")
     return img
 
 
-def _screen(F, T, units, uinvs, reps, addr):
+def _screen(F, T, mats, reps, addr):
     """Mask of the units whose conjugation phi keeps
     phi(T[a, b]) == T[phi(a), phi(b)] on every screen cell.  A unit that
     fails has a witness cell, so its map is no automorphism; a unit that
@@ -287,7 +293,7 @@ def _screen(F, T, units, uinvs, reps, addr):
     cells = T[np.ix_(A, B)]
     S, pos = np.unique(np.concatenate([A, B, cells.ravel()]),
                        return_inverse=True)
-    img = _conjugations(F, units, uinvs, reps[S], addr)
+    img = _images(F, mats, reps[S], addr)
     fa = img[:, pos[:len(A)], None]
     fb = img[:, None, pos[len(A):len(A) + len(B)]]
     fab = img[:, pos[len(A) + len(B):].reshape(cells.shape)]
@@ -298,32 +304,34 @@ def conjugation_autos(F, L=None, progress=None):
     """The group generated by the conjugations x -> (u x) u^{-1} of M*(q),
     for units u of the split octonions, that are loop automorphisms.
 
-    One unit per scalar class is scanned, in chunks.  A unit is rejected
-    when its map breaks a product on one of the screen cells; that cell is
-    a witness.  The maps of the other units are induced in full and
-    sifted into the group built so far.  A member is a product of checked
-    automorphisms and is skipped; a non-member is added only if it passes
-    the full n^2 check.  The returned generators are the maps that grew
-    the group.  L, if given, must be paige_loop(F.q); progress(done,
+    One unit per scalar class is scanned, in chunks.  Each conjugation is
+    linear, since the Zorn product is bilinear, and is applied as its 8x8
+    matrix over GF(p), built from oct_mul on the basis vectors.  A unit is
+    rejected when its map breaks a product on one of the screen cells;
+    that cell is a witness.  The maps of the other units are induced in
+    full and sifted into the group built so far.  A member is a product of
+    checked automorphisms and is skipped; a non-member is added only if it
+    passes the full n^2 check.  The returned generators are the maps that
+    grew the group.  L, if given, must be paige_loop(F.q); progress(done,
     total) is called once per chunk with the number of units scanned."""
     q = F.q
     if q not in (2, 3):
         raise LimitError("unit scan supported at q in {2, 3}", bound=3)
-    units, uinvs, reps, addr = _conjugation_setup(F)
+    mats, reps, addr = _conjugation_setup(F)
     n = len(reps)
     if L is None:
         L = paige_loop(q)
     elif len(L) != n:
         raise DomainError(f"the loop has {len(L)} elements, M*({q}) has {n}")
     T = L.table
-    m = len(units)
+    m = len(mats)
     step = max(1, _CHUNK_CELLS // n)
     ch = _Chain(n, kernels)
     added = []
     for start in range(0, m, step):
-        U, Ui = units[start:start + step], uinvs[start:start + step]
-        keep = _screen(F, T, U, Ui, reps, addr)
-        for row in _conjugations(F, U[keep], Ui[keep], reps, addr):
+        M = mats[start:start + step]
+        keep = _screen(F, T, M, reps, addr)
+        for row in _images(F, M[keep], reps, addr):
             if ch.is_member(row):
                 continue
             if is_loop_automorphism(L, row):

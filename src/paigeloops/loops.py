@@ -8,6 +8,7 @@ identity coset is then swapped to index 0.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,18 +73,21 @@ class FiniteLoop:
 
     @property
     def ldiv_table(self):
-        """ldiv_table[a, b] = the x with a*x = b."""
+        """ldiv_table[a, b] = the x with a*x = b (read-only)."""
         if self._ldiv is None:
-            self._ldiv = np.argsort(self.table, axis=1).astype(
-                self.table.dtype)
+            ldiv = np.argsort(self.table, axis=1).astype(self.table.dtype)
+            ldiv.flags.writeable = False
+            self._ldiv = ldiv
         return self._ldiv
 
     @property
     def rdiv_table(self):
-        """rdiv_table[a, b] = the x with x*a = b."""
+        """rdiv_table[a, b] = the x with x*a = b (read-only)."""
         if self._rdiv is None:
-            self._rdiv = np.argsort(self.table, axis=0).T.astype(
+            rdiv = np.argsort(self.table, axis=0).T.astype(
                 self.table.dtype, order="C")
+            rdiv.flags.writeable = False
+            self._rdiv = rdiv
         return self._rdiv
 
     def ldiv(self, a, b):
@@ -146,12 +150,16 @@ def _identity_to_front(reps):
     return reps
 
 
-def _build_table(F, reps, canonicalize):
-    n = len(reps)
+def _check_table_cells(n):
     if n * n > config.MAX_TABLE_CELLS:
         raise LimitError(
             f"table would have {n * n} cells, over {config.MAX_TABLE_CELLS}",
             bound=config.MAX_TABLE_CELLS)
+
+
+def _build_table(F, reps, canonicalize):
+    n = len(reps)
+    _check_table_cells(n)
     addr = np.full(F.q ** 8, -1, dtype=np.int32)
     addr[_rep_address(F.q, reps)] = np.arange(n, dtype=np.int32)
     dtype = np.int16 if n <= 32767 else np.int32
@@ -188,14 +196,30 @@ def paige_representatives(q):
     return _identity_to_front(units)
 
 
+# M*(q) by q while some caller holds it; nothing here keeps a loop alive.
+_LIVE = weakref.WeakValueDictionary()
+
+
 def paige_loop(q):
     """The simple Moufang loop M*(q): norm-one Zorn matrices over GF(q)
-    modulo the center {1, -1}."""
+    modulo the center {1, -1}.
+
+    The loop is shared: while any caller holds M*(q), this returns that
+    same object, and a new one is built only once the last reference is
+    gone.  Its table, like its lazily built division tables, is
+    read-only.  The size bounds are checked on every call."""
     F = field(q)
-    reps = paige_representatives(q)
-    table = _build_table(F, reps, canonicalize=(F.p != 2))
-    labels = [Octonion(F, row).to_text() for row in reps]
-    return FiniteLoop(table, labels=labels)
+    _check_loop_q(q)
+    _check_table_cells(paige_order_formula(q))
+    L = _LIVE.get(q)
+    if L is None:
+        reps = paige_representatives(q)
+        table = _build_table(F, reps, canonicalize=(F.p != 2))
+        table.flags.writeable = False
+        labels = [Octonion(F, row).to_text() for row in reps]
+        L = FiniteLoop(table, labels=labels)
+        _LIVE[q] = L
+    return L
 
 
 def unit_loop(q):

@@ -8,6 +8,8 @@ from paigeloops import (DomainError, LimitError, LoopAutomorphism,
                         Permutation, aut_backtrack, aut_summary,
                         conjugation_autos, field, frobenius_on_paige,
                         g2_order, is_loop_automorphism, loop_from_table)
+from paigeloops.loops import _rep_address
+from paigeloops.zorn import oct_canonical, oct_conj, oct_mul, oct_norm
 
 
 def test_g2_orders():
@@ -97,19 +99,38 @@ def test_conjugation_screen_against_full_check(paige2):
     """Every screened-out unit has a map that also fails the n^2 check,
     and the screen keeps exactly the 57 automorphisms of the 120 maps."""
     F = field(2)
-    units, uinvs, reps, addr = autos._conjugation_setup(F)
-    maps = autos._conjugations(F, units, uinvs, reps, addr)
+    mats, reps, addr = autos._conjugation_setup(F)
+    maps = autos._images(F, mats, reps, addr)
     assert len(np.unique(maps, axis=0)) == len(maps) == 120
     full = np.array([is_loop_automorphism(paige2, m) for m in maps])
-    screen = autos._screen(F, paige2.table, units, uinvs, reps, addr)
+    screen = autos._screen(F, paige2.table, mats, reps, addr)
     assert full.sum() == 57
     assert not (full & ~screen).any()
     assert (screen == full).all()
 
 
+@pytest.mark.parametrize("q", [2, 3])
+def test_conjugation_matrices_match_the_zorn_product(q):
+    """x @ M is (u x) u^{-1} for every scanned unit u and representative
+    x, so a screen rejection is a witness against the conjugation."""
+    F = field(q)
+    mats, reps, addr = autos._conjugation_setup(F)
+    grid = np.indices((q,) * 8).reshape(8, -1).T.astype(np.int16)
+    lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
+    units = grid[(lead == 1) & (oct_norm(F, grid) != 0)]
+    assert len(units) == len(mats)
+    uinvs = F.mul_table[F.inv_table[oct_norm(F, units)][:, None],
+                        oct_conj(F, units)]
+    for s in range(0, len(units), 60):
+        u, ui = units[s:s + 60, None], uinvs[s:s + 60, None]
+        want = oct_canonical(F, oct_mul(F, oct_mul(F, u, reps[None]), ui))
+        got = autos._images(F, mats[s:s + 60], reps, addr)
+        assert (got == addr[_rep_address(q, want)]).all()
+
+
 def test_conjugation_sift_and_check_alone(monkeypatch, paige2):
     monkeypatch.setattr(
-        autos, "_screen", lambda F, T, units, *rest: np.ones(len(units), bool))
+        autos, "_screen", lambda F, T, mats, *rest: np.ones(len(mats), bool))
     c = conjugation_autos(field(2), paige2)
     assert c.order == 6048
     for p in c.generators:

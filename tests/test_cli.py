@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import pytest
 
-from paigeloops import load_tbl, save_tbl
+from paigeloops import cli, load_tbl, loops, save_tbl
 
 KEYS = ["check", "parameters", "result", "value", "witness", "elapsed_ms"]
 
@@ -221,6 +222,22 @@ def test_pure_python_backend_cli(loop5_tbl):
     ref = run_cli("net", "bol", "--table", loop5_tbl, "--json", "--no-timing")
     assert out.returncode == ref.returncode == 1
     assert out.stdout == ref.stdout
+
+
+def test_report_all_fills_the_table_once(monkeypatch, capsys):
+    monkeypatch.setattr(loops, "_LIVE", weakref.WeakValueDictionary())
+    fills = []
+    build = loops._build_table
+
+    def counted(F, reps, canonicalize):
+        fills.append(F.q)
+        return build(F, reps, canonicalize)
+
+    monkeypatch.setattr(loops, "_build_table", counted)
+    assert cli.run(["report", "all", "--q", "2", "--json",
+                    "--no-timing"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 13
+    assert fills == [2]
 
 
 def test_report_all_q2_sections():

@@ -1,14 +1,18 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from paigeloops import loops
 from paigeloops import (DomainError, LimitError, MalformedTableError,
                         NoIdentityAtZeroError, NotLatinError, check_moufang,
                         element_order, field, first_nonassociative_triple,
                         is_simple, load_tbl, loop_center, loop_divide,
                         loop_from_table, multiplication_group,
-                        paige_order_enumerated, paige_order_formula,
-                        paige_representatives, save_tbl, subloop_closure,
-                        unit_loop)
+                        paige_loop, paige_order_enumerated,
+                        paige_order_formula, paige_representatives,
+                        save_tbl, subloop_closure, unit_loop)
 from paigeloops.zorn import oct_canonical, oct_mul, oct_neg
 
 
@@ -43,6 +47,31 @@ def test_division_tables_on_paige2(paige2):
     rows = np.arange(len(paige2))[:, None]
     assert (T[rows, ldiv] == np.arange(len(paige2))).all()
     assert (T[rdiv, rows] == np.arange(len(paige2))).all()
+
+
+def test_paige_loop_is_shared_while_held(monkeypatch):
+    monkeypatch.setattr(loops, "_LIVE", weakref.WeakValueDictionary())
+    L = paige_loop(2)
+    assert paige_loop(2) is L
+    with pytest.raises(ValueError):
+        L.table[1, 1] = 0
+    with pytest.raises(ValueError):
+        L.ldiv_table[1, 1] = 0
+    # the bounds hold although M*(2) is live
+    with monkeypatch.context() as m:
+        m.setenv("PAIGE_MAX_Q", "1")
+        with pytest.raises(LimitError):
+            paige_loop(2)
+    with monkeypatch.context() as m:
+        m.setattr(loops.config, "MAX_TABLE_CELLS", 100)
+        with pytest.raises(LimitError):
+            paige_loop(2)
+    old = weakref.ref(L)
+    del L
+    gc.collect()
+    assert old() is None and 2 not in loops._LIVE
+    fresh = paige_loop(2)
+    assert loops._LIVE[2] is fresh and len(fresh) == 120
 
 
 def test_translations(s3):

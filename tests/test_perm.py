@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from paigeloops import (DomainError, LimitError, PermGroup, Permutation,
-                        kernel_backend)
+                        kernel_backend, multiplication_group, perm)
 from paigeloops._backend import kernels as active_kernels
 from paigeloops import _kernels_py
 from paigeloops.config import MAX_PERM_DEGREE
@@ -201,6 +201,30 @@ def test_small_group_sampler_hits_every_element():
 
 
 # -- kernel backends ---------------------------------------------------------
+
+
+def test_sweep_with_and_without_transversal_cache(monkeypatch, paige2):
+    """The numpy sweep scatters u_p s from a cached u_p^{-1} or walks the
+    Schreier tree; both give the same chain."""
+    walks = []
+    walk = _kernels_py._transversal_elem
+
+    def counted(*args):
+        walks.append(1)
+        return walk(*args)
+
+    def chain():
+        walks.clear()
+        G = multiplication_group(paige2, kernels=_kernels_py)
+        return G.order, G.base(), G.basic_orbit_sizes()
+
+    monkeypatch.setattr(_kernels_py, "_transversal_elem", counted)
+    cached = chain()
+    assert not walks
+    monkeypatch.setattr(perm, "_UINV_LEVEL_CAP", 0)
+    assert chain() == cached
+    assert walks
+    assert cached[0] == 174_182_400
 
 
 def test_active_backend_reported():
