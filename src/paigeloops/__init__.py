@@ -6,7 +6,6 @@ their Bol reflections, and the collineation and multiplication groups
 needed to identify Aut(M*(q)) computationally.
 """
 
-from ._backend import backend_name as kernel_backend
 from .autos import (
     LoopAutomorphism,
     aut_backtrack,
@@ -82,6 +81,12 @@ from .zorn import (
 )
 
 __version__ = "0.1.0"
+
+
+def kernel_backend():
+    """Name of the kernel module: "py", the numpy kernels."""
+    return "py"
+
 
 __all__ = [
     "CollineationVerdict",

@@ -1,19 +1,7 @@
-"""Select the compiled kernel backend, falling back to pure numpy.
+"""The package's kernel module, `_kernels_py`, under the name `kernels`.
 
-Set PAIGELOOPS_BACKEND=py to force the fallback (useful for timing
-comparisons and for debugging the compiled code against it).
+The package imports `_kernels_py` directly; this name stays for code
+outside the package that looks the kernel module up here.
 """
 
-import os
-
-if os.environ.get("PAIGELOOPS_BACKEND") == "py":
-    from . import _kernels_py as kernels
-else:
-    try:
-        from . import _kernels as kernels  # type: ignore[attr-defined]
-    except ImportError:
-        from . import _kernels_py as kernels
-
-
-def backend_name():
-    return kernels.backend_name()
+from . import _kernels_py as kernels

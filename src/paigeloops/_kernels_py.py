@@ -1,6 +1,4 @@
-"""Pure numpy kernels for the permutation engine and the Paige table fill.
-
-This module fixes the backend contract; the compiled extension mirrors it.
+"""Numpy kernels for the permutation engine and the Paige table fill.
 
 Data layout shared with the stabilizer-chain driver, all int32 and
 C-contiguous:
@@ -24,9 +22,7 @@ must then reset that level's sweep cursors.
 
 import numpy as np
 
-
-def backend_name():
-    return "py"
+from .zorn import oct_canonical, oct_mul
 
 
 def compose(p, q):
@@ -103,7 +99,6 @@ def transversal_fill(gs, sv, pos, orbit, norbit, base, uinv):
     filled = np.zeros(d, dtype=bool)
     uinv[pos[base]] = np.arange(d, dtype=np.int32)
     filled[base] = True
-    idx = np.arange(d, dtype=np.int32)
     for k in range(norbit):
         x = int(orbit[k])
         if filled[x]:
@@ -121,7 +116,6 @@ def transversal_fill(gs, sv, pos, orbit, norbit, base, uinv):
             # u_y^{-1} = g_edge^{-1} then u_parent^{-1}
             uinv[pos[y]] = uinv[pos[parent]][gs[er ^ 1]]
             filled[y] = True
-    del idx
 
 
 def _reduce_at(h, lev, bases, svs, genstacks, uinvs, poss):
@@ -206,58 +200,20 @@ def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
     return nstop, None
 
 
-def _bulk_mul(X, Y, mul, add, sub):
-    """Zorn vector-matrix product on (..., 8) coordinate arrays."""
-    a1, b1 = X[..., 0], X[..., 1]
-    v1, w1 = X[..., 2:5], X[..., 5:8]
-    a2, b2 = Y[..., 0], Y[..., 1]
-    v2, w2 = Y[..., 2:5], Y[..., 5:8]
-
-    def dot(u, v):
-        s = mul[u[..., 0], v[..., 0]]
-        s = add[s, mul[u[..., 1], v[..., 1]]]
-        return add[s, mul[u[..., 2], v[..., 2]]]
-
-    def cross(u, v):
-        return np.stack([
-            sub[mul[u[..., 1], v[..., 2]], mul[u[..., 2], v[..., 1]]],
-            sub[mul[u[..., 2], v[..., 0]], mul[u[..., 0], v[..., 2]]],
-            sub[mul[u[..., 0], v[..., 1]], mul[u[..., 1], v[..., 0]]],
-        ], axis=-1)
-
-    out = np.empty(np.broadcast_shapes(X.shape, Y.shape), dtype=X.dtype)
-    out[..., 0] = add[mul[a1, a2], dot(v1, w2)]
-    out[..., 1] = add[mul[b1, b2], dot(w1, v2)]
-    out[..., 2:5] = sub[add[mul[a1[..., None], v2], mul[b2[..., None], v1]],
-                        cross(w1, w2)]
-    out[..., 5:8] = add[add[mul[a2[..., None], w1], mul[b1[..., None], w2]],
-                        cross(v1, v2)]
-    return out
-
-
-def paige_table(reps, mul, add, sub, neg, addr, out, do_canon):
-    """Fill out[i, j] = index of reps[i] * reps[j] (canonicalized when
-    do_canon).  Returns 0, or -1 if a product key is missing from addr."""
+def paige_table(F, reps, addr, out, canonicalize):
+    """Fill out[i, j] = addr[key of reps[i] * reps[j]], the product taken
+    with zorn.oct_mul and, when canonicalize, relabelled by
+    zorn.oct_canonical.  Returns 0, or -1 if a product key is missing from
+    addr."""
     n = reps.shape[0]
-    q = mul.shape[0]
-    key_w = (q ** np.arange(7, -1, -1, dtype=np.int64))
-    block = max(1, min(n, 4_000_000 // max(n, 1)))
+    key_w = F.q ** np.arange(7, -1, -1, dtype=np.int64)
+    block = max(1, min(n, 4_000_000 // n))
     for i0 in range(0, n, block):
-        X = reps[i0:i0 + block][:, None, :]
-        Z = _bulk_mul(X, reps[None, :, :], mul, add, sub)
-        if do_canon:
-            N = neg[Z]
-            swap = np.zeros(Z.shape[:-1], dtype=bool)
-            undecided = np.ones(Z.shape[:-1], dtype=bool)
-            for c in range(8):
-                lt = undecided & (N[..., c] < Z[..., c])
-                gt = undecided & (N[..., c] > Z[..., c])
-                swap |= lt
-                undecided &= ~(lt | gt)
-            Z = np.where(swap[..., None], N, Z)
-        keys = (Z.astype(np.int64) * key_w).sum(axis=-1)
-        vals = addr[keys]
+        Z = oct_mul(F, reps[i0:i0 + block, None], reps[None])
+        if canonicalize:
+            Z = oct_canonical(F, Z)
+        vals = addr[Z.astype(np.int64) @ key_w]
         if (vals < 0).any():
             return -1
-        out[i0:i0 + block] = vals.astype(out.dtype)
+        out[i0:i0 + block] = vals
     return 0

@@ -3,12 +3,14 @@
 Three independent generator supplies: exhaustive backtracking over the
 Cayley table, the entrywise field Frobenius on Zorn representatives, and
 conjugation by octonion units.  Every map returned by any of them is
-validated as a loop automorphism directly; nothing is trusted on the
-strength of a theorem.  The conjugation scan applies each unit's map as
-an 8x8 matrix over GF(p), built with oct_mul (the Zorn product is
-bilinear, so the map is linear).  It rejects a unit only on a witness
-cell T[a, b] that its map breaks, and accepts a map either by the full
-n^2 check or as a member of the group generated by maps that passed it.
+validated as a loop automorphism directly by is_loop_automorphism, the
+package's one automorphism validator (the triality correspondence uses
+it too); nothing is trusted on the strength of a theorem.  The
+conjugation scan applies each unit's map as an 8x8 matrix over GF(p),
+built with oct_mul (the Zorn product is bilinear, so the map is
+linear).  It rejects a unit only on a witness cell T[a, b] that its map
+breaks, and accepts a map either by the full n^2 check or as a member of
+the group generated by maps that passed it.
 """
 
 from dataclasses import dataclass
@@ -16,11 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from ._backend import kernels
 from .errors import DomainError, InternalError, LimitError
 from .gf import _factor_prime_power, field
 from .loops import (
-    _build_table,
+    _address_book,
     _rep_address,
     element_order,
     paige_loop,
@@ -46,8 +47,19 @@ def g2_order(q):
     return q**6 * (q**6 - 1) * (q**2 - 1)
 
 
+# Table rows compared per step of the full check: a block at q = 4 holds
+# 256 x 16,320 cells (8 MiB in int16), and a map that breaks a product
+# stops at the first block holding it.
+_CHECK_ROWS = 256
+
+
 def is_loop_automorphism(L, images):
-    """Full check: bijection on 0..n-1 that preserves every product."""
+    """Full check: a bijection phi on 0..n-1 with
+    phi(T[a, b]) == T[phi(a), phi(b)] for all n^2 cells.
+
+    The cells are compared in the table's dtype, _CHECK_ROWS rows of the
+    table at a time, and the check stops at the first block holding a
+    broken product."""
     T = L.table
     n = len(L)
     phi = np.asarray(images, dtype=np.int64).reshape(-1)
@@ -57,7 +69,12 @@ def is_loop_automorphism(L, images):
     seen[phi] = True
     if not seen.all():
         return False
-    return bool((phi[T] == T[np.ix_(phi, phi)]).all())
+    phi = phi.astype(T.dtype)
+    for lo in range(0, n, _CHECK_ROWS):
+        rows = slice(lo, lo + _CHECK_ROWS)
+        if not (phi[T[rows]] == T[np.ix_(phi[rows], phi)]).all():
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -206,34 +223,21 @@ def aut_backtrack(L, override_limits=False):
 
 def frobenius_on_paige(q):
     """The map of M*(q) induced by the field Frobenius x -> x^p applied
-    entrywise to canonical Zorn representatives."""
+    entrywise to canonical Zorn representatives, checked on all n^2
+    products."""
     p, k = _factor_prime_power(q)
     if q > 9:
         raise DomainError("supported up to q = 9")
     F = field(q)
     reps = paige_representatives(q)
     L = paige_loop(q)
-    n = len(L)
-    img = F.frob_table[reps]
-    if F.p != 2:
-        img = oct_canonical(F, img)
-    addr = np.full(F.q ** 8, -1, dtype=np.int32)
-    addr[_rep_address(F.q, reps)] = np.arange(n, dtype=np.int32)
-    images = addr[_rep_address(F.q, img)]
+    img = oct_canonical(F, F.frob_table[reps])
+    images = _address_book(q, reps)[_rep_address(q, img)]
     if images.min() < 0:
         raise InternalError("Frobenius image left the representative set")
-    perm = Permutation(images)
-    if n <= 2000:
-        ok = is_loop_automorphism(L, images)
-    else:
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, n, size=100_000)
-        b = rng.integers(0, n, size=100_000)
-        T = L.table
-        ok = (images[0] == 0 and
-              bool((images[T[a, b]] == T[images[a], images[b]]).all()))
-    if not ok:
+    if not is_loop_automorphism(L, images):
         raise InternalError("Frobenius map failed the automorphism check")
+    perm = Permutation(images, _checked=True)
     o = perm.order()
     if k % o != 0 or (k > 1 and o != k):
         raise InternalError("Frobenius permutation order does not match "
@@ -268,9 +272,7 @@ def _conjugation_setup(F):
     mats = oct_mul(F, oct_mul(F, units[:, None], basis[None]),
                    uinvs[:, None])
     reps = paige_representatives(q)
-    addr = np.full(q ** 8, -1, dtype=np.int32)
-    addr[_rep_address(q, reps)] = np.arange(len(reps), dtype=np.int32)
-    return mats, reps, addr
+    return mats, reps, _address_book(q, reps)
 
 
 def _images(F, mats, X, addr):
@@ -326,7 +328,7 @@ def conjugation_autos(F, L=None, progress=None):
     T = L.table
     m = len(mats)
     step = max(1, _CHUNK_CELLS // n)
-    ch = _Chain(n, kernels)
+    ch = _Chain(n)
     added = []
     for start in range(0, m, step):
         M = mats[start:start + step]

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
-from ._backend import kernels as _kernels
+from . import _kernels_py as _kernels
 from .errors import (DomainError, InternalError, LimitError,
                      MalformedTableError, NoIdentityAtZeroError,
                      NotLatinError)
 from .gf import field
 from .perm import PermGroup, Permutation
-from .zorn import Octonion, norm_one_array, oct_neg
+from .zorn import Octonion, norm_one_array, oct_canonical
 
 _LATIN_CHUNK = 2048
 
@@ -157,16 +157,21 @@ def _check_table_cells(n):
             bound=config.MAX_TABLE_CELLS)
 
 
+def _address_book(q, reps):
+    """addr[key] = row of reps whose base-q key is key, else -1; an int32
+    array over all q^8 keys."""
+    addr = np.full(q ** 8, -1, dtype=np.int32)
+    addr[_rep_address(q, reps)] = np.arange(len(reps), dtype=np.int32)
+    return addr
+
+
 def _build_table(F, reps, canonicalize):
     n = len(reps)
     _check_table_cells(n)
-    addr = np.full(F.q ** 8, -1, dtype=np.int32)
-    addr[_rep_address(F.q, reps)] = np.arange(n, dtype=np.int32)
     dtype = np.int16 if n <= 32767 else np.int32
     out = np.empty((n, n), dtype=dtype)
-    rc = _kernels.paige_table(
-        np.ascontiguousarray(reps, dtype=np.int16), F.mul_table, F.add_table,
-        F.sub_table, F.neg_table, addr, out, 1 if canonicalize else 0)
+    rc = _kernels.paige_table(F, reps, _address_book(F.q, reps), out,
+                              canonicalize)
     if rc != 0:
         raise InternalError("a product fell outside the element list")
     return out
@@ -186,13 +191,7 @@ def paige_representatives(q):
     _check_loop_q(q)
     F = field(q)
     units = norm_one_array(F)
-    if F.p != 2:
-        # keep rows that are the lex-min of {x, -x}
-        neg = oct_neg(F, units).astype(units.dtype)
-        first_diff = np.argmax(units != neg, axis=1)
-        rows = np.arange(len(units))
-        keep = units[rows, first_diff] < neg[rows, first_diff]
-        units = units[keep]
+    units = units[(oct_canonical(F, units) == units).all(axis=1)]
     return _identity_to_front(units)
 
 
@@ -407,12 +406,12 @@ def first_nonassociative_triple(L):
     return None
 
 
-def multiplication_group(L, kernels=None):
+def multiplication_group(L):
     """Mlt(L): the permutation group generated by all left and right
     translations."""
     gens = [L.left_translation(a) for a in range(1, L.n)]
     gens += [L.right_translation(a) for a in range(1, L.n)]
-    return PermGroup(gens, degree=L.n, kernels=kernels)
+    return PermGroup(gens, degree=L.n)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ it.
 
 import numpy as np
 
-from . import _kernels_py, config
-from ._backend import kernels as _default_kernels
+from . import _kernels_py as _kernels
+from . import config
 from .errors import DomainError, InternalError, LimitError
 
 _DEPTH_LIMIT = 20
@@ -163,9 +163,8 @@ def _lcm(a, b):
 class _Chain:
     """Mutable stabilizer-chain state; see module docstring."""
 
-    def __init__(self, degree, kern):
+    def __init__(self, degree):
         self.d = degree
-        self.kern = kern
         self.bases = []
         self.genstacks = []
         self.svs = []
@@ -203,12 +202,12 @@ class _Chain:
 
     def _extend_orbit(self, l):
         old = self.norbits[l]
-        norbit, maxdep = self.kern.orbit_update(
+        norbit, maxdep = _kernels.orbit_update(
             self.genstacks[l], self.svs[l], self.deps[l], self.poss[l],
             self.orbits[l], self.norbits[l], self.bases[l], 0)
         rebuilt = False
         if maxdep > _DEPTH_LIMIT and self.genstacks[l].shape[0] > 2:
-            norbit, maxdep = self.kern.orbit_update(
+            norbit, maxdep = _kernels.orbit_update(
                 self.genstacks[l], self.svs[l], self.deps[l], self.poss[l],
                 self.orbits[l], norbit, self.bases[l], 1)
             self.done[l] = [0] * (self.genstacks[l].shape[0] // 2)
@@ -227,9 +226,9 @@ class _Chain:
         if self._ucells + cells > _UINV_TOTAL_CAP:
             return
         u = np.empty((rows, self.d), dtype=np.int32)
-        self.kern.transversal_fill(self.genstacks[l], self.svs[l],
-                                   self.poss[l], self.orbits[l], rows,
-                                   self.bases[l], u)
+        _kernels.transversal_fill(self.genstacks[l], self.svs[l],
+                                  self.poss[l], self.orbits[l], rows,
+                                  self.bases[l], u)
         self.uinvs[l] = u
         self._ucells += cells
 
@@ -250,7 +249,7 @@ class _Chain:
         if j == self.nlevels():
             moved = np.nonzero(r != np.arange(self.d, dtype=np.int32))[0]
             self.add_level(int(moved[0]))
-        rinv = self.kern.invert(r)
+        rinv = _kernels.invert(r)
         two = np.stack([r, rinv]).astype(np.int32, copy=False)
         for l in range(j + 1):
             gs = self.genstacks[l]
@@ -272,7 +271,7 @@ class _Chain:
                 if start >= self.norbits[l]:
                     continue
                 progressed = True
-                posi, residue = self.kern.sweep_gen(
+                posi, residue = _kernels.sweep_gen(
                     l, gi, start, self.bases, self.svs, self.genstacks,
                     self.uinvs, self.poss, self.orbits, self.norbits)
                 self.done[l][gi] = posi
@@ -297,9 +296,9 @@ class _Chain:
         """Sift one input generator; extend the chain unless it is already
         a member.  Returns True if the group grew."""
         h = np.array(images, dtype=np.int32, copy=True)
-        stuck = self.kern.sift_run(h, 0, self.bases, self.svs,
-                                   self.genstacks, self.uinvs, self.poss)
-        if stuck == self.nlevels() and self.kern.is_identity(h):
+        stuck = _kernels.sift_run(h, 0, self.bases, self.svs,
+                                  self.genstacks, self.uinvs, self.poss)
+        if stuck == self.nlevels() and _kernels.is_identity(h):
             return False
         if self.nlevels() == 0:
             moved = np.nonzero(h != np.arange(self.d, dtype=np.int32))[0]
@@ -319,22 +318,22 @@ class _Chain:
 
     def is_member(self, images):
         h = np.array(images, dtype=np.int32, copy=True)
-        stuck = self.kern.sift_run(h, 0, self.bases, self.svs,
-                                   self.genstacks, self.uinvs, self.poss)
-        return stuck == self.nlevels() and self.kern.is_identity(h)
+        stuck = _kernels.sift_run(h, 0, self.bases, self.svs,
+                                  self.genstacks, self.uinvs, self.poss)
+        return stuck == self.nlevels() and _kernels.is_identity(h)
 
     def transversal_elem(self, l, posi):
         """u: bases[l] -> orbit point at position posi, as an image array."""
-        return _kernels_py._transversal_elem(l, posi, self.bases, self.svs,
-                                             self.genstacks, self.uinvs,
-                                             self.poss, self.orbits)
+        return _kernels._transversal_elem(l, posi, self.bases, self.svs,
+                                          self.genstacks, self.uinvs,
+                                          self.poss, self.orbits)
 
     def random_element(self, rng):
         t = None
         for l in range(self.nlevels() - 1, -1, -1):
             posi = int(rng.integers(0, self.norbits[l]))
             u = self.transversal_elem(l, posi)
-            t = u if t is None else self.kern.compose(t, u)
+            t = u if t is None else _kernels.compose(t, u)
         if t is None:
             t = np.arange(self.d, dtype=np.int32)
         return t
@@ -350,7 +349,7 @@ class _Chain:
         def rec(l, prefix):
             for posi in range(self.norbits[l]):
                 u = self.transversal_elem(l, posi)
-                cur = u if prefix is None else self.kern.compose(prefix, u)
+                cur = u if prefix is None else _kernels.compose(prefix, u)
                 if l == 0:
                     yield cur
                 else:
@@ -361,7 +360,7 @@ class _Chain:
     def tail(self):
         """The chain for levels 1.. (the stabilizer of bases[0]); shares
         the underlying arrays.  Valid while this chain stays unmodified."""
-        t = _Chain(self.d, self.kern)
+        t = _Chain(self.d)
         t.bases = self.bases[1:]
         t.genstacks = self.genstacks[1:]
         t.svs = self.svs[1:]
@@ -380,7 +379,7 @@ class PermGroup:
     deterministic stabilizer chain."""
 
     def __init__(self, generators, degree=None, override_limits=False,
-                 kernels=None, base_hint=None, _chain=None):
+                 base_hint=None, _chain=None):
         gens = []
         for g in generators:
             if not isinstance(g, Permutation):
@@ -400,7 +399,6 @@ class PermGroup:
                 "override_limits=True to force", bound=config.MAX_PERM_DEGREE)
         self.degree = degree
         self.generators = gens
-        self._kern = kernels if kernels is not None else _default_kernels
         self._base_hint = list(base_hint) if base_hint else []
         for b in self._base_hint:
             if not 0 <= b < degree:
@@ -412,7 +410,7 @@ class PermGroup:
     def _build(self):
         if self._chain is not None:
             return self._chain
-        ch = _Chain(self.degree, self._kern)
+        ch = _Chain(self.degree)
         nontrivial = [g for g in self.generators if not g.is_identity()]
         for b in self._base_hint:
             ch.add_level(b)
@@ -465,7 +463,7 @@ class PermGroup:
         """The same group regenerated from its strong generators; use when
         the input generating set is huge (e.g. a full enumeration)."""
         g = PermGroup(self.strong_generators(), degree=self.degree,
-                      override_limits=True, kernels=self._kern,
+                      override_limits=True,
                       base_hint=self._base_hint or None)
         if g.order != self.order:
             raise InternalError("regenerated group has a different order")
@@ -503,7 +501,7 @@ class PermGroup:
         if ch.nlevels() == 0 or ch.bases[0] == pt:
             tail = ch.tail() if ch.nlevels() else ch
             return self._wrap_tail(tail)
-        re = _Chain(self.degree, self._kern)
+        re = _Chain(self.degree)
         re.add_level(pt)
         for g in self.strong_generators():
             re.add_input_generator(g.images)
@@ -523,7 +521,7 @@ class PermGroup:
             for i in range(0, gs.shape[0], 2):
                 gens.append(Permutation(gs[i].copy(), _checked=True))
         return PermGroup(gens, degree=self.degree, override_limits=True,
-                         kernels=self._kern, _chain=tail)
+                         _chain=tail)
 
     def random_uniform(self, seed):
         """One exactly uniform element, deterministic for a given seed."""
@@ -546,11 +544,10 @@ class PermGroup:
     def derived_subgroup(self):
         """Commutator subgroup: pairwise generator commutators closed under
         normal closure."""
-        kern = self._kern
         self._build()
-        ch = _Chain(self.degree, kern)
+        ch = _Chain(self.degree)
         gens = [g.images for g in self.generators]
-        ginv = [kern.invert(g) for g in gens]
+        ginv = [_kernels.invert(g) for g in gens]
         added = []
 
         def feed(images):
@@ -561,7 +558,7 @@ class PermGroup:
 
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
-                c = kern.compose(kern.compose(kern.compose(
+                c = _kernels.compose(_kernels.compose(_kernels.compose(
                     ginv[i], ginv[j]), gens[i]), gens[j])
                 feed(c)
         changed = True
@@ -569,14 +566,14 @@ class PermGroup:
             changed = False
             for h in list(added):
                 for g, gi in zip(gens, ginv):
-                    c = kern.compose(kern.compose(gi, h), g)
+                    c = _kernels.compose(_kernels.compose(gi, h), g)
                     if not ch.is_member(c):
                         feed(c)
                         changed = True
         ch.release_caches()
         out = PermGroup([Permutation(a, _checked=True) for a in added],
                         degree=self.degree, override_limits=True,
-                        kernels=kern, _chain=ch)
+                        _chain=ch)
         return out
 
     def __repr__(self):
@@ -585,9 +582,8 @@ class PermGroup:
                 f"ngens={len(self.generators)}, {built})")
 
 
-def bsgs_build(generators, degree=None, override_limits=False, kernels=None):
+def bsgs_build(generators, degree=None, override_limits=False):
     """Build a PermGroup and force chain construction."""
-    G = PermGroup(generators, degree=degree, override_limits=override_limits,
-                  kernels=kernels)
+    G = PermGroup(generators, degree=degree, override_limits=override_limits)
     G._build()
     return G

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config
+from .autos import is_loop_automorphism
 from .errors import (CorrespondenceError, DomainError, InternalError,
                      LimitError, NotMoufangNetError)
 from .nets import bol_reflection, is_collineation, line_image
@@ -241,8 +242,9 @@ def origin_stabilizer_automorphisms(T):
     The origin (0, 0) is the meet of lines 0 and n.  Each generator of their
     joint stabilizer must act on all three line classes by one map alpha,
     so that it sends the point (x, y) to (alpha(x), alpha(y)), and alpha
-    must be multiplicative.  The elements passing both checks form a
-    subgroup, so checking the generators covers the whole stabilizer.
+    must pass is_loop_automorphism, the package's one automorphism
+    validator.  The elements passing both checks form a subgroup, so
+    checking the generators covers the whole stabilizer.
     Returns the group of the alphas with all its elements as image
     arrays."""
     net = T.net
@@ -257,7 +259,6 @@ def origin_stabilizer_automorphisms(T):
     # the first two basic orbit sizes of a chain based at lines 0 and n
     if (T.gamma.order // stab1.order, stab1.order // stab.order) != (n, n):
         raise DomainError("Gamma is not transitive on the net's points")
-    tbl = net.loop.table.astype(np.int64)
     shift = (np.arange(3, dtype=np.int64) * n)[:, None]
     gens = []
     for g in stab.generators:
@@ -267,7 +268,7 @@ def origin_stabilizer_automorphisms(T):
             raise CorrespondenceError(
                 "a stabilizer generator acts by different maps on the "
                 "three line classes")
-        if not (alpha[tbl] == tbl[np.ix_(alpha, alpha)]).all():
+        if not is_loop_automorphism(net.loop, alpha):
             raise CorrespondenceError(
                 "an induced map is not multiplicative")
         gens.append(Permutation(alpha, _checked=True))
@@ -282,19 +283,15 @@ def origin_stabilizer_automorphisms(T):
 def induced_automorphism_check(T, alpha):
     """For a loop automorphism alpha, build (x, y) -> (alpha(x), alpha(y))
     and report whether it is a direction-preserving collineation fixing
-    the origin's three lines and centralizing their Bol reflections."""
+    the origin's three lines and centralizing their Bol reflections.
+    alpha itself must pass is_loop_automorphism."""
     net = T.net
     n = net.n
     alpha = np.asarray(alpha, dtype=np.int64)
     if alpha.shape != (n,):
         raise DomainError("alpha must be a length-n image array")
-    seen = np.zeros(n, dtype=bool)
-    seen[alpha] = True
-    if not seen.all():
-        raise DomainError("alpha is not a bijection")
-    tbl = net.loop.table.astype(np.int64)
-    if not (alpha[tbl] == tbl[np.ix_(alpha, alpha)]).all():
-        raise DomainError("alpha is not multiplicative")
+    if not is_loop_automorphism(net.loop, alpha):
+        raise DomainError("alpha is not a loop automorphism")
 
     sharp = ((alpha * n)[:, None] + alpha[None, :]).ravel()
     v = is_collineation(net, sharp)

@@ -122,6 +122,11 @@ def paige3():
 
 
 @pytest.fixture(scope="session")
+def paige4():
+    return Lazy(lambda: paige_loop(4))
+
+
+@pytest.fixture(scope="session")
 def mlt2(paige2):
     return Lazy(lambda: multiplication_group(paige2))
 

@@ -90,13 +90,14 @@ def test_criterion_02_composition_law(acceptance_lines):
     assert elapsed < 10
 
 
-def test_criterion_03_moufang_identities(acceptance_lines, paige2, paige3):
+def test_criterion_03_moufang_identities(acceptance_lines, paige2, paige3,
+                                        paige4):
     t0 = time.perf_counter()
     problems = []
     v = check_moufang(paige2, mode="full")
     if not v.passed or v.triples_checked != 4 * 120**3:
         problems.append(f"q=2 full sweep failed at {v.counterexample}")
-    for q, L in ((3, paige3()), (4, paige_loop(4))):
+    for q, L in ((3, paige3()), (4, paige4())):
         vs = check_moufang(L, mode="sample", n_samples=1_000_000, seed=0)
         if not vs.passed:
             problems.append(f"q={q} sample failed at {vs.counterexample}")

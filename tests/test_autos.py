@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from paigeloops import autos
-from paigeloops import (DomainError, LimitError, LoopAutomorphism,
-                        Permutation, aut_backtrack, aut_summary,
-                        conjugation_autos, field, frobenius_on_paige,
-                        g2_order, is_loop_automorphism, loop_from_table)
+from paigeloops import (DomainError, FiniteLoop, LimitError,
+                        LoopAutomorphism, Permutation, aut_backtrack,
+                        aut_summary, conjugation_autos, field,
+                        frobenius_on_paige, g2_order, is_loop_automorphism,
+                        loop_from_table)
 from paigeloops.loops import _rep_address
 from paigeloops.zorn import oct_canonical, oct_conj, oct_mul, oct_norm
 
@@ -26,6 +27,50 @@ def test_is_loop_automorphism(s3, paige2):
     assert not is_loop_automorphism(s3, np.arange(n)[::-1].copy())
     # a left translation is a bijection but not multiplicative
     assert not is_loop_automorphism(paige2, paige2.table[1])
+
+
+def test_validator_chunks_agree(monkeypatch, conj2, paige2):
+    """Row blocks below n give the one-block verdict, on the conjugation
+    generators and on a generator with two images swapped."""
+    maps = [p.images for p in conj2().generators]
+    swapped = maps[0].copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    maps.append(swapped)
+    n = len(paige2)
+    verdicts = []
+    for rows in (n, 7):
+        monkeypatch.setattr(autos, "_CHECK_ROWS", rows)
+        verdicts.append([is_loop_automorphism(paige2, m) for m in maps])
+    assert verdicts[0] == verdicts[1] == [True] * (len(maps) - 1) + [False]
+
+
+def test_validator_reads_the_last_block(monkeypatch, conj2, paige2):
+    """A product broken only in the table's last row is found when that
+    row is a block of its own."""
+    n = len(paige2)
+    g = conj2().point_stabilizer(n - 1).generators[0].images
+    c = int(np.flatnonzero(g != np.arange(n))[0])
+    table = paige2.table.copy()
+    # g fixes n - 1, so only row n - 1 reads the changed cell, and there
+    # g(T'[n-1, c]) = g(T[n-1, 0]) != g(T[n-1, c]) = T'[n-1, g(c)]
+    table[n - 1, c] = table[n - 1, 0]
+    bent = FiniteLoop(table, _validated=True)
+    monkeypatch.setattr(autos, "_CHECK_ROWS", n - 1)
+    assert is_loop_automorphism(paige2, g)
+    assert not is_loop_automorphism(bent, g)
+
+
+def test_validator_rejects_malformed_maps(paige2):
+    n = len(paige2)
+    ident = np.arange(n)
+    assert is_loop_automorphism(paige2, ident)
+    assert not is_loop_automorphism(paige2, ident[:-1])
+    assert not is_loop_automorphism(paige2, np.append(ident, 0))
+    for bad in (-1, n, 5 + 65536):
+        # 5 + 65536 wraps to 5 in the table's int16
+        assert not is_loop_automorphism(paige2, np.where(ident == 5, bad,
+                                                         ident))
+    assert not is_loop_automorphism(paige2, np.where(ident == 5, 6, ident))
 
 
 def test_loop_automorphism_wrapper(s3):
@@ -187,10 +232,20 @@ def test_frobenius_trivial_on_prime_fields():
     assert a3.order == 1
 
 
-def test_frobenius_on_gf4_has_order_two():
+def test_frobenius_on_gf4_has_order_two(monkeypatch, paige4):
+    paige4()
+    calls = []
+    check = autos.is_loop_automorphism
+
+    def counted(L, images):
+        calls.append(1)
+        return check(L, images)
+
+    monkeypatch.setattr(autos, "is_loop_automorphism", counted)
     a = frobenius_on_paige(4)
     assert a.order == 2
     assert a(0) == 0
+    assert len(calls) == 1
 
 
 def test_frobenius_bounds():

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 import weakref
@@ -11,9 +10,9 @@ from paigeloops import cli, load_tbl, loops, save_tbl
 KEYS = ["check", "parameters", "result", "value", "witness", "elapsed_ms"]
 
 
-def run_cli(*args, **kw):
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "paigeloops.cli", *args],
-                          capture_output=True, text=True, **kw)
+                          capture_output=True, text=True)
 
 
 @pytest.fixture(scope="module")
@@ -213,15 +212,6 @@ def test_console_script_installed():
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.strip() == "120"
-
-
-def test_pure_python_backend_cli(loop5_tbl):
-    env = dict(os.environ, PAIGELOOPS_BACKEND="py")
-    out = run_cli("net", "bol", "--table", loop5_tbl, "--json", "--no-timing",
-                  env=env)
-    ref = run_cli("net", "bol", "--table", loop5_tbl, "--json", "--no-timing")
-    assert out.returncode == ref.returncode == 1
-    assert out.stdout == ref.stdout
 
 
 def test_report_all_fills_the_table_once(monkeypatch, capsys):

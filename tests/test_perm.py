@@ -200,7 +200,7 @@ def test_small_group_sampler_hits_every_element():
     assert min(counts.values()) > 40
 
 
-# -- kernel backends ---------------------------------------------------------
+# -- kernels -----------------------------------------------------------------
 
 
 def test_sweep_with_and_without_transversal_cache(monkeypatch, paige2):
@@ -215,7 +215,7 @@ def test_sweep_with_and_without_transversal_cache(monkeypatch, paige2):
 
     def chain():
         walks.clear()
-        G = multiplication_group(paige2, kernels=_kernels_py)
+        G = multiplication_group(paige2)
         return G.order, G.base(), G.basic_orbit_sizes()
 
     monkeypatch.setattr(_kernels_py, "_transversal_elem", counted)
@@ -228,35 +228,17 @@ def test_sweep_with_and_without_transversal_cache(monkeypatch, paige2):
 
 
 def test_active_backend_reported():
-    assert kernel_backend() in ("c", "py")
-    assert active_kernels.backend_name() == kernel_backend()
+    assert kernel_backend() == "py"
+    assert active_kernels is _kernels_py
 
 
-def test_backends_agree_on_primitives():
-    if kernel_backend() == "py":
-        pytest.skip("compiled backend unavailable")
-    rng = np.random.default_rng(0)
-    for degree in (1, 2, 17, 1000):
-        p = rng.permutation(degree).astype(np.int32)
-        q = rng.permutation(degree).astype(np.int32)
-        assert (active_kernels.compose(p, q) == _kernels_py.compose(p, q)).all()
-        assert (active_kernels.invert(p) == _kernels_py.invert(p)).all()
-        assert active_kernels.is_identity(p) == _kernels_py.is_identity(p)
-        out_c = np.empty_like(p)
-        out_py = np.empty_like(p)
-        active_kernels.compose_into(p, q, out_c)
-        _kernels_py.compose_into(p, q, out_py)
-        assert (out_c == out_py).all()
-
-
-@pytest.mark.parametrize("kern", [active_kernels, _kernels_py])
-def test_compose_into_may_alias_first_argument(kern):
+def test_compose_into_may_alias_first_argument():
     rng = np.random.default_rng(1)
     p = rng.permutation(300).astype(np.int32)
     q = rng.permutation(300).astype(np.int32)
-    want = kern.compose(p.copy(), q)
+    want = _kernels_py.compose(p.copy(), q)
     buf = p.copy()
-    kern.compose_into(buf, q, buf)
+    _kernels_py.compose_into(buf, q, buf)
     assert (buf == want).all()
 
 
@@ -269,7 +251,7 @@ def test_pure_python_backend_selectable_by_env():
             "print(g.order)\n"
             "print(g.point_stabilizer(2).order)\n")
     out = subprocess.run([sys.executable, "-c", code],
-                         env={"PAIGELOOPS_BACKEND": "py", "PATH": "/usr/bin",
+                         env={"PATH": "/usr/bin",
                               "PYTHONPATH": os.environ.get("PYTHONPATH", "")},
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
