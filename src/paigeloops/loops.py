@@ -23,6 +23,7 @@ from .perm import PermGroup, Permutation
 from .zorn import Octonion, norm_one_array, oct_canonical
 
 _LATIN_CHUNK = 2048
+_DIV_ROWS = 256
 
 
 def _check_latin(table):
@@ -75,20 +76,27 @@ class FiniteLoop:
     def ldiv_table(self):
         """ldiv_table[a, b] = the x with a*x = b (read-only)."""
         if self._ldiv is None:
-            ldiv = np.argsort(self.table, axis=1).astype(self.table.dtype)
-            ldiv.flags.writeable = False
-            self._ldiv = ldiv
+            self._ldiv = self._division(self.table)
         return self._ldiv
 
     @property
     def rdiv_table(self):
         """rdiv_table[a, b] = the x with x*a = b (read-only)."""
         if self._rdiv is None:
-            rdiv = np.argsort(self.table, axis=0).T.astype(
-                self.table.dtype, order="C")
-            rdiv.flags.writeable = False
-            self._rdiv = rdiv
+            self._rdiv = self._division(self.table.T)
         return self._rdiv
+
+    def _division(self, rows):
+        """out[a, rows[a, b]] = b, scattered _DIV_ROWS rows at a time in the
+        table's dtype; read-only."""
+        n = self.n
+        out = np.empty((n, n), dtype=self.table.dtype)
+        cols = np.arange(n, dtype=self.table.dtype)
+        for a0 in range(0, n, _DIV_ROWS):
+            blk = rows[a0:a0 + _DIV_ROWS]
+            out[a0:a0 + len(blk)][np.arange(len(blk))[:, None], blk] = cols
+        out.flags.writeable = False
+        return out
 
     def ldiv(self, a, b):
         """a \\ b: the x with a*x = b."""
@@ -270,16 +278,11 @@ def subloop_closure(L, seed):
     tables = (L.table, L.ldiv_table, L.rdiv_table)
     while True:
         ix = np.nonzero(mask)[0]
-        new = False
+        cells = np.ix_(ix, ix)
         for t in tables:
-            sub = t[np.ix_(ix, ix)]
-            vals = np.unique(sub)
-            fresh = vals[~mask[vals]]
-            if len(fresh):
-                mask[fresh] = True
-                new = True
-        if not new:
-            return np.nonzero(mask)[0]
+            mask[t[cells]] = True
+        if np.count_nonzero(mask) == len(ix):
+            return ix
 
 
 def loop_center(L):
@@ -463,14 +466,14 @@ def is_simple(L, mlt=None):
         members[[0, x]] = True
         while True:
             closed = subloop_closure(L, np.nonzero(members)[0])
-            grown = np.zeros(L.n, dtype=bool)
-            grown[closed] = True
             # close under Inn-orbits
-            present = np.unique(orbit_id[grown])
-            grown |= np.isin(orbit_id, present)
-            if (grown == members).all():
-                break
+            hit = np.zeros(norb, dtype=bool)
+            hit[orbit_id[closed]] = True
+            grown = hit[orbit_id]
+            done = (grown == members).all()
             members = grown
+            if done or members.all():
+                break
         if not members.all():
             return SimplicityVerdict(False, np.nonzero(members)[0])
     return SimplicityVerdict(True, None)

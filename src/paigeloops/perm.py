@@ -3,15 +3,23 @@
 Composition convention: (p * q) applies p first, then q, i.e.
 (p * q)(x) = q(p(x)).  All orders are exact Python integers.
 
-The chain is built by a deterministic Schreier-Sims: residues are inserted
-as strong generators at every level down to the level they got stuck at,
-orbits extend without relabeling existing points (so per-generator sweep
-cursors stay valid and each Schreier generator is sifted exactly once), and
-a tree that grows too deep is rebuilt fresh at the cost of resetting that
-level's cursors.  Base points: level 0 uses the least point moved by any
-input generator (or a caller-forced point for stabilizer base changes);
-each deeper level uses the least point moved by the residue that created
-it.
+The chain is built by a deterministic Schreier-Sims.  Write H^(m) for the
+group generated by the generators installed at level m.  Invariant: every
+generator installed at level m lies in H^(m-1), so H^(0) >= H^(1) >= ...,
+and the chain is complete once every Schreier generator of H^(m) for the
+orbit of bases[m] sifts to the identity through levels m+1.. (Holt, Eick
+and O'Brien, Handbook of Computational Group Theory, 2005, 4.4).  An input
+generator's residue, stuck at level j, is installed at levels 0..j.  The
+residue of a Schreier generator of level l, stuck at level j > l, is
+installed at levels l+1..j only: it already lies in H^(l) and so in every
+H^(i) with i <= l, where it would add no element and no orbit point but
+|O_i| more Schreier generators, each sifting to the identity.  Orbits
+extend without relabeling existing points (so per-generator sweep cursors
+stay valid and each Schreier generator is sifted exactly once), and a tree
+that grows too deep is rebuilt fresh at the cost of resetting that level's
+cursors.  Base points: level 0 uses the least point moved by any input
+generator (or a caller-forced point for stabilizer base changes); each
+deeper level uses the least point moved by the residue that created it.
 """
 
 import numpy as np
@@ -244,14 +252,15 @@ class _Chain:
                 return m
         return self.nlevels()
 
-    def insert_gen(self, r, j):
-        """Install residue r (fixing bases[0..j-1]) at levels 0..j."""
+    def insert_gen(self, r, j, lo=0):
+        """Install residue r (fixing bases[0..j-1]) at levels lo..j; r must
+        lie in H^(lo-1) when lo > 0."""
         if j == self.nlevels():
             moved = np.nonzero(r != np.arange(self.d, dtype=np.int32))[0]
             self.add_level(int(moved[0]))
         rinv = _kernels.invert(r)
         two = np.stack([r, rinv]).astype(np.int32, copy=False)
-        for l in range(j + 1):
+        for l in range(lo, j + 1):
             gs = self.genstacks[l]
             self.genstacks[l] = np.concatenate([gs, two]) if gs.size else \
                 np.ascontiguousarray(two)
@@ -288,7 +297,7 @@ class _Chain:
                 l -= 1
             else:
                 j = self._stuck_level(residue)
-                self.insert_gen(residue, j)
+                self.insert_gen(residue, j, lo=l + 1)
                 l = min(j, self.nlevels() - 1)
         self.complete = True
 

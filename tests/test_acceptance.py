@@ -25,6 +25,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 
 from paigeloops import (Permutation, all_bol_reflections, aut_backtrack,
                         check_composition, check_moufang,
@@ -90,6 +91,7 @@ def test_criterion_02_composition_law(acceptance_lines):
     assert elapsed < 10
 
 
+@pytest.mark.slow
 def test_criterion_03_moufang_identities(acceptance_lines, paige2, paige3,
                                         paige4):
     t0 = time.perf_counter()
@@ -204,6 +206,7 @@ def test_criterion_07_triality(acceptance_lines, tri2):
     assert total < 3600
 
 
+@pytest.mark.slow
 def test_criterion_08_main_theorem_q2(acceptance_lines, tri2, aut2, conj2):
     t0 = time.perf_counter()
     problems = []

@@ -232,6 +232,7 @@ def test_frobenius_trivial_on_prime_fields():
     assert a3.order == 1
 
 
+@pytest.mark.slow
 def test_frobenius_on_gf4_has_order_two(monkeypatch, paige4):
     paige4()
     calls = []
@@ -255,6 +256,7 @@ def test_frobenius_bounds():
         frobenius_on_paige(16)
 
 
+@pytest.mark.slow
 def test_aut_summary_exact_q2(aut2, conj2):
     s = aut_summary(2)
     assert s == {"q": 2, "computed": "12096", "predicted": "12096",

@@ -40,13 +40,15 @@ def test_division(s3):
         loop_divide(s3, "middle", 0, 1)
 
 
-def test_division_tables_on_paige2(paige2):
-    T = paige2.table
-    ldiv, rdiv = paige2.ldiv_table, paige2.rdiv_table
-    assert ldiv.dtype == rdiv.dtype == T.dtype
-    rows = np.arange(len(paige2))[:, None]
-    assert (T[rows, ldiv] == np.arange(len(paige2))).all()
-    assert (T[rdiv, rows] == np.arange(len(paige2))).all()
+def test_division_tables_on_paige2(paige2, paige3, loop5):
+    for L in (paige2, paige3(), loop5):
+        T = L.table
+        ldiv, rdiv = L.ldiv_table, L.rdiv_table
+        assert ldiv.dtype == rdiv.dtype == T.dtype
+        assert not ldiv.flags.writeable and not rdiv.flags.writeable
+        rows = np.arange(len(L))[:, None]
+        assert (T[rows, ldiv] == np.arange(len(L))).all()
+        assert (T[rdiv, rows] == np.arange(len(L))).all()
 
 
 def test_paige_loop_is_shared_while_held(monkeypatch):
@@ -220,6 +222,20 @@ def test_simplicity(paige2, s3, c4, loop5):
     assert len(v.witness) == 3    # the rotation subgroup
     assert not is_simple(c4).simple
     assert is_simple(loop5).simple
+
+
+def test_paige3_is_simple_in_four_closures(monkeypatch, paige3, mlt3):
+    """Each Inn-closure stops once it is all of M*(3)."""
+    calls = []
+    closure = loops.subloop_closure
+
+    def counted(L, seed):
+        calls.append(1)
+        return closure(L, seed)
+
+    monkeypatch.setattr(loops, "subloop_closure", counted)
+    assert is_simple(paige3(), mlt=mlt3()).simple
+    assert len(calls) == 4
 
 
 def test_multiplication_group_of_groups(s3, c4, klein):

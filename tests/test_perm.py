@@ -200,6 +200,84 @@ def test_small_group_sampler_hits_every_element():
     assert min(counts.values()) > 40
 
 
+# -- chain invariants --------------------------------------------------------
+
+
+def _s6():
+    return [Permutation.from_cycles(6, [(0, 1)]),
+            Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])]
+
+
+def _a6():
+    return [Permutation.from_cycles(6, [(0, 1, 2)]),
+            Permutation.from_cycles(6, [(1, 2, 3, 4, 5)])]
+
+
+def _built_chain(monkeypatch, gens):
+    """PermGroup(gens)'s chain, with the sifted residue of each input that
+    grew the group."""
+    grew = []
+    add = perm._Chain.add_input_generator
+
+    def recording(ch, images):
+        h = np.array(images, dtype=np.int32)
+        _kernels_py.sift_run(h, 0, ch.bases, ch.svs, ch.genstacks, ch.uinvs,
+                             ch.poss)
+        if add(ch, images):
+            grew.append(h)
+            return True
+        return False
+
+    monkeypatch.setattr(perm._Chain, "add_input_generator", recording)
+    return PermGroup(gens)._build(), grew
+
+
+@pytest.mark.parametrize("name", ["S6", "A6", "Mlt(M*(2))"])
+def test_chain_levels(name, monkeypatch, paige2):
+    """A generator installed at level m fixes bases[0..m-1] and lies in
+    the group generated at level m-1; level 0 holds the sifted inputs that
+    grew the group and nothing else."""
+    gens = {"S6": _s6, "A6": _a6,
+            "Mlt(M*(2))": lambda: multiplication_group(paige2).generators}
+    ch, grew = _built_chain(monkeypatch, gens[name]())
+    assert ch.order() == {"S6": 720, "A6": 360,
+                          "Mlt(M*(2))": 174_182_400}[name]
+    level0 = ch.genstacks[0][::2]
+    assert len(level0) == len(grew)
+    assert all((a == b).all() for a, b in zip(level0, grew))
+    for m in range(1, ch.nlevels()):
+        gs = ch.genstacks[m]
+        assert gs.shape[0] > 0
+        assert (gs[:, ch.bases[:m]] == ch.bases[:m]).all()
+        for g in gs[::2]:
+            h = g.copy()
+            stop = _kernels_py.sift_run(h, m - 1, ch.bases, ch.svs,
+                                        ch.genstacks, ch.uinvs, ch.poss)
+            assert stop == ch.nlevels() and _kernels_py.is_identity(h)
+    if name == "A6":
+        assert not ch.is_member(Permutation.from_cycles(6, [(0, 1)]).images)
+
+
+def test_mlt_paige2_chain(monkeypatch, paige2):
+    """Residues of level-l Schreier generators go to levels l+1.. only,
+    which sifts fewer than half the 3,582 Schreier generators of a chain
+    that installs them at every level."""
+    sifted = []
+    sweep = _kernels_py.sweep_gen
+
+    def counted(lev, gi, startpos, *rest):
+        posi, residue = sweep(lev, gi, startpos, *rest)
+        sifted.append(posi - startpos + (residue is not None))
+        return posi, residue
+
+    monkeypatch.setattr(_kernels_py, "sweep_gen", counted)
+    G = multiplication_group(paige2)
+    assert G.order == 174_182_400
+    assert G.basic_orbit_sizes() == [120, 63, 30, 12, 8, 4, 2]
+    assert sum(sifted) < 3582 // 2
+    assert all(p in G for p in G.random_elements(10, seed=5))
+
+
 # -- kernels -----------------------------------------------------------------
 
 
