@@ -18,11 +18,17 @@ Orbit positions are stable: orbit extension appends new points and never
 relabels old ones, so sweep cursors stay valid.  A fresh rebuild (used when
 the tree grows too deep) relabels the tree but keeps positions; the caller
 must then reset that level's sweep cursors.
+
+The Paige table fill works on the base-p digits of Zorn coordinates over
+GF(p^k): each row of the table is one GF(p)-linear map, the left
+multiplication by that row's representative, applied to all
+representatives at once as a float32 matrix product of small integers
+(exact), reduced mod p and looked up by base-q key.
 """
 
 import numpy as np
 
-from .zorn import oct_canonical, oct_mul
+from .zorn import oct_mul
 
 
 def compose(p, q):
@@ -200,20 +206,57 @@ def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
     return nstop, None
 
 
-def paige_table(F, reps, addr, out, canonicalize):
-    """Fill out[i, j] = addr[key of reps[i] * reps[j]], the product taken
-    with zorn.oct_mul and, when canonicalize, relabelled by
-    zorn.oct_canonical.  Returns 0, or -1 if a product key is missing from
-    addr."""
-    n = reps.shape[0]
-    key_w = F.q ** np.arange(7, -1, -1, dtype=np.int64)
-    block = max(1, min(n, 4_000_000 // n))
+def _field_digits(F):
+    """(q, k) array of the base-p digits of each element of GF(q), q = p^k,
+    least significant first: the coefficients that gf encodes it by."""
+    return np.arange(F.q)[:, None] // F.p ** np.arange(F.k) % F.p
+
+
+# Float32 entries of one block's products (8 MiB): the rows of a block
+# times n columns times 8k digits.
+_FILL_ENTRIES = 1 << 21
+
+
+def paige_table(F, reps, addr, out):
+    """Fill out[i, j] = addr[key of reps[i] * reps[j]].  Returns 0, or -1
+    if a product key is missing from addr.
+
+    Over q = p^k each coordinate is k base-p digits, so an octonion is a
+    vector of 8k digits over GF(p), and its base-q key is the base-p
+    number of those digits.  The Zorn product is GF(p)-bilinear in them,
+    so left multiplication by x is an 8k x 8k matrix L_x over GF(p): row
+    r holds the digits of x * e_r for the r-th digit basis octonion e_r.
+    One oct_mul per block of rows builds the block's matrices, and row i
+    is the keys of (R @ L_x) mod p for R the n x 8k digit matrix of reps.
+
+    The arithmetic is float32 and exact: an entry of R @ L_x is an integer
+    of at most 8k (p - 1)^2, so its quotient by p is correctly rounded
+    and floors to the integer quotient, and the keys, below q^8, are
+    summed in float32 up to q = 8 and in float64 above."""
+    p, k = F.p, F.k
+    n, m = reps.shape[0], 8 * k
+    digits = _field_digits(F)
+    basis = (np.eye(8, dtype=np.int16)[:, None]
+             * p ** np.arange(k, dtype=np.int16)[:, None]).reshape(m, 8)
+    weights = (F.q ** np.arange(7, -1, -1)[:, None]
+               * p ** np.arange(k)).ravel()
+    weights = weights.astype(np.float32 if F.q ** 8 <= 1 << 24
+                             else np.float64)
+    R = digits[reps].reshape(n, m).astype(np.float32)
+    block = max(1, min(n, _FILL_ENTRIES // (n * m)))
     for i0 in range(0, n, block):
-        Z = oct_mul(F, reps[i0:i0 + block, None], reps[None])
-        if canonicalize:
-            Z = oct_canonical(F, Z)
-        vals = addr[Z.astype(np.int64) @ key_w]
+        X = reps[i0:i0 + block]
+        b = len(X)
+        Lx = digits[oct_mul(F, X[:, None], basis[None])].reshape(b, m, m)
+        # P[j, (x, d)] is digit d of x * reps[j] before reduction mod p
+        P = R @ Lx.transpose(1, 0, 2).reshape(m, b * m).astype(np.float32)
+        Q = P / p
+        np.floor(Q, out=Q)
+        Q *= p
+        P -= Q
+        keys = (P.reshape(n * b, m) @ weights).astype(np.int32)
+        vals = addr[keys].reshape(n, b)
         if (vals < 0).any():
             return -1
-        out[i0:i0 + block] = vals
+        out[i0:i0 + b] = vals.T
     return 0

@@ -29,7 +29,7 @@ from .loops import (
     subloop_closure,
 )
 from .perm import Permutation, PermGroup, _Chain
-from .zorn import oct_canonical, oct_conj, oct_mul, oct_norm
+from .zorn import oct_conj, oct_mul, oct_norm
 
 __all__ = [
     "LoopAutomorphism",
@@ -224,15 +224,15 @@ def aut_backtrack(L, override_limits=False):
 def frobenius_on_paige(q):
     """The map of M*(q) induced by the field Frobenius x -> x^p applied
     entrywise to canonical Zorn representatives, checked on all n^2
-    products."""
+    products.  An image is looked up in the address book of +-x keys, so
+    it needs no canonical form."""
     p, k = _factor_prime_power(q)
     if q > 9:
         raise DomainError("supported up to q = 9")
     F = field(q)
     reps = paige_representatives(q)
     L = paige_loop(q)
-    img = oct_canonical(F, F.frob_table[reps])
-    images = _address_book(q, reps)[_rep_address(q, img)]
+    images = _address_book(F, reps)[_rep_address(q, F.frob_table[reps])]
     if images.min() < 0:
         raise InternalError("Frobenius image left the representative set")
     if not is_loop_automorphism(L, images):
@@ -260,8 +260,8 @@ def _conjugation_setup(F):
     only the Zorn matrices of nonzero norm whose first nonzero coordinate
     is 1 are kept.  The Zorn product is bilinear, so x -> (u x) u^{-1} is
     linear; row i of a unit's 8x8 matrix is the image of the i-th basis
-    vector, computed with oct_mul, and x maps to x @ M.  addr maps a
-    representative's base-q key to its loop index."""
+    vector, computed with oct_mul, and x maps to x @ M.  addr maps the
+    base-q key of x or -x to the loop index of the class {x, -x}."""
     q = F.q
     grid = np.indices((q,) * 8).reshape(8, -1).T.astype(np.int16)
     lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
@@ -272,7 +272,7 @@ def _conjugation_setup(F):
     mats = oct_mul(F, oct_mul(F, units[:, None], basis[None]),
                    uinvs[:, None])
     reps = paige_representatives(q)
-    return mats, reps, _address_book(q, reps)
+    return mats, reps, _address_book(F, reps)
 
 
 def _images(F, mats, X, addr):
@@ -280,7 +280,7 @@ def _images(F, mats, X, addr):
     Zorn representative x in X (columns).  Exact mod p: the scan runs over
     prime fields only, whose elements are the integers 0..p-1."""
     z = np.matmul(X, mats) % F.p
-    img = addr[_rep_address(F.q, oct_canonical(F, z))]
+    img = addr[_rep_address(F.q, z)]
     if img.size and img.min() < 0:
         raise InternalError("conjugation image left the representative set")
     return img

@@ -20,7 +20,7 @@ from .errors import (DomainError, InternalError, LimitError,
                      NotLatinError)
 from .gf import field
 from .perm import PermGroup, Permutation
-from .zorn import Octonion, norm_one_array, oct_canonical
+from .zorn import norm_one_array, oct_canonical, oct_neg
 
 _LATIN_CHUNK = 2048
 _DIV_ROWS = 256
@@ -165,24 +165,37 @@ def _check_table_cells(n):
             bound=config.MAX_TABLE_CELLS)
 
 
-def _address_book(q, reps):
-    """addr[key] = row of reps whose base-q key is key, else -1; an int32
-    array over all q^8 keys."""
+def _address_book(F, reps):
+    """addr[key] = row of reps whose base-q key is key, or whose negative
+    has that key, else -1; an int32 array over all q^8 keys.
+
+    The keys of -x are written first and those of x last, so a key that is
+    itself a representative maps to its own row: M*(q) looks up x and -x
+    alike with no canonical form, and the unit loop, whose reps hold both
+    signs, looks up each element exactly."""
+    q = F.q
     addr = np.full(q ** 8, -1, dtype=np.int32)
-    addr[_rep_address(q, reps)] = np.arange(len(reps), dtype=np.int32)
+    rows = np.arange(len(reps), dtype=np.int32)
+    addr[_rep_address(q, oct_neg(F, reps))] = rows
+    addr[_rep_address(q, reps)] = rows
     return addr
 
 
-def _build_table(F, reps, canonicalize):
+def _build_table(F, reps):
     n = len(reps)
     _check_table_cells(n)
     dtype = np.int16 if n <= 32767 else np.int32
     out = np.empty((n, n), dtype=dtype)
-    rc = _kernels.paige_table(F, reps, _address_book(F.q, reps), out,
-                              canonicalize)
+    rc = _kernels.paige_table(F, reps, _address_book(F, reps), out)
     if rc != 0:
         raise InternalError("a product fell outside the element list")
     return out
+
+
+def _labels(F, reps):
+    """The text of each representative, as Octonion.to_text writes it."""
+    text = [F.format_element(c) for c in range(F.q)]
+    return [";".join([text[c] for c in row]) for row in reps.tolist()]
 
 
 def _check_loop_q(q):
@@ -221,10 +234,9 @@ def paige_loop(q):
     L = _LIVE.get(q)
     if L is None:
         reps = paige_representatives(q)
-        table = _build_table(F, reps, canonicalize=(F.p != 2))
+        table = _build_table(F, reps)
         table.flags.writeable = False
-        labels = [Octonion(F, row).to_text() for row in reps]
-        L = FiniteLoop(table, labels=labels)
+        L = FiniteLoop(table, labels=_labels(F, reps))
         _LIVE[q] = L
     return L
 
@@ -234,9 +246,7 @@ def unit_loop(q):
     _check_loop_q(q)
     F = field(q)
     reps = _identity_to_front(norm_one_array(F))
-    table = _build_table(F, reps, canonicalize=False)
-    labels = [Octonion(F, row).to_text() for row in reps]
-    return FiniteLoop(table, labels=labels)
+    return FiniteLoop(_build_table(F, reps), labels=_labels(F, reps))
 
 
 def paige_order_formula(q):

@@ -9,6 +9,11 @@ i*n + j.  Lines come in three classes:
   class 3, value c: {(x, y) : x*y = c}  (fixed product)
 
 Line id = (class - 1)*n + value.
+
+bol_reflection and is_collineation gather from the loop's tables in
+their own dtype (int16 up to n = 32,767) with int32 indices, and widen
+to int32 only where a point id i*n + j is formed: at q = 3 the ids pass
+32,767.  Neither copies a table.
 """
 
 from dataclasses import dataclass
@@ -114,27 +119,24 @@ def bol_reflection(net, axis):
     c = axis.value
     if not 0 <= c < n:
         raise DomainError("axis value out of range")
-    T = L.table.astype(np.int64)
-    LD = L.ldiv_table.astype(np.int64)
-    RD = L.rdiv_table.astype(np.int64)
-    X, Y = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    T, LD, RD = L.table, L.ldiv_table, L.rdiv_table
+    X, Y = np.divmod(np.arange(n * n, dtype=np.int32), n)
     if axis.cls == 1:
         # (x, y) -> ((c y) / (c \ (x y)), c \ (x y))
-        prod = T[X, Y]
-        yp = LD[c, prod]
+        yp = LD[c, T[X, Y]]
         xp = RD[yp, T[c, Y]]
     elif axis.cls == 2:
         # (x, y) -> ((x y) / c, ((x y) / c) \ (x c))
-        prod = T[X, Y]
-        xp = RD[c, prod]
+        xp = RD[c, T[X, Y]]
         yp = LD[xp, T[X, c]]
     elif axis.cls == 3:
         # (x, y) -> (c / y, x \ c)
-        xp = RD[Y, np.full(n * n, c, dtype=np.int64)]
-        yp = LD[X, np.full(n * n, c, dtype=np.int64)]
+        xp = RD[Y, c]
+        yp = LD[X, c]
     else:
         raise DomainError("axis class must be 1, 2 or 3")
-    return Permutation((xp * n + yp).astype(np.int32), _checked=True)
+    # int32 before the multiply: x * n overflows int16 once n > 181
+    return Permutation(xp.astype(np.int32) * n + yp, _checked=True)
 
 
 def all_bol_reflections(net):
@@ -156,10 +158,8 @@ def is_collineation(net, p):
     if n == 1:
         z = np.zeros(1, dtype=np.int64)
         return CollineationVerdict(True, (1, 2, 3), (z, z, z), None)
-    T = net.loop.table.astype(np.int64)
-    LD = net.loop.ldiv_table.astype(np.int64)
-    s = s.astype(np.int64)
-    ar = np.arange(n, dtype=np.int64)
+    T, LD = net.loop.table, net.loop.ldiv_table
+    ar = np.arange(n, dtype=np.int32)
     # row c of each matrix = images of the points of line (cls, c)
     mats = (
         s.reshape(n, n),                      # class 1
@@ -169,8 +169,7 @@ def is_collineation(net, p):
     action = []
     vmaps = []
     for cls, M in zip((1, 2, 3), mats):
-        I = M // n
-        J = M - I * n
+        I, J = np.divmod(M, n)
         same_i = (I == I[:, :1]).all(axis=1)
         same_j = (J == J[:, :1]).all(axis=1)
         PR = T[I, J]

@@ -220,9 +220,9 @@ def test_report_all_fills_the_table_once(monkeypatch, capsys):
     fills = []
     build = loops._build_table
 
-    def counted(F, reps, canonicalize):
+    def counted(F, reps):
         fills.append(F.q)
-        return build(F, reps, canonicalize)
+        return build(F, reps)
 
     monkeypatch.setattr(loops, "_build_table", counted)
     assert cli.run(["report", "all", "--q", "2", "--json",

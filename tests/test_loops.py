@@ -1,11 +1,13 @@
 import gc
+import hashlib
 import weakref
 
 import numpy as np
 import pytest
 
-from paigeloops import loops
-from paigeloops import (DomainError, LimitError, MalformedTableError,
+from paigeloops import _kernels_py, loops
+from paigeloops import (DomainError, InternalError, LimitError,
+                        MalformedTableError,
                         NoIdentityAtZeroError, NotLatinError, check_moufang,
                         element_order, field, first_nonassociative_triple,
                         is_simple, load_tbl, loop_center, loop_divide,
@@ -13,7 +15,7 @@ from paigeloops import (DomainError, LimitError, MalformedTableError,
                         paige_loop, paige_order_enumerated,
                         paige_order_formula, paige_representatives,
                         save_tbl, subloop_closure, unit_loop)
-from paigeloops.zorn import oct_canonical, oct_mul, oct_neg
+from paigeloops.zorn import Octonion, oct_canonical, oct_mul, oct_neg
 
 
 def test_table_validation():
@@ -274,3 +276,111 @@ def test_paige_q_validation():
         paige_representatives(6)
     with pytest.raises(LimitError):
         paige_representatives(16)
+
+
+# SHA-256 of the int16 tables, taken from a fill that multiplied every
+# cell with oct_mul and relabelled it with oct_canonical
+_TABLE_SHA256 = {
+    2: "749811eea7d7ed36934a5b922a72f924cbb539e9de697b941839c45618f3dbdc",
+    3: "a4ee2ee6fa8faf05570163265ed5cbb1bc65ffce6cc184e8c1a9077b67e20f73",
+}
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_paige_table_is_pinned(q):
+    T = paige_loop(q).table
+    assert T.dtype == np.int16 and T.flags.c_contiguous
+    assert hashlib.sha256(T.tobytes()).hexdigest() == _TABLE_SHA256[q]
+
+
+def _label_coords(F, labels):
+    return np.array([Octonion.from_text(F, s).coords for s in labels],
+                    dtype=np.int16)
+
+
+@pytest.mark.parametrize("build,q,cells", [
+    (paige_loop, 2, None), (unit_loop, 2, None),
+    (paige_loop, 3, 20_000), (unit_loop, 3, 20_000)])
+def test_table_cells_are_zorn_products(build, q, cells):
+    """Each checked cell T[i, j] is the label of the Zorn product of the
+    labels of i and j (or of its negative, in M*(q)); all cells when
+    cells is None, else a seeded sample."""
+    F = field(q)
+    L = build(q)
+    C = _label_coords(F, L.labels)
+    n = len(L)
+    if cells is None:
+        I, J = (a.ravel() for a in np.indices((n, n)))
+    else:
+        I, J = np.random.default_rng(q).integers(0, n, size=(2, cells))
+    Z = oct_mul(F, C[I], C[J])
+    got = C[L.table[I, J]]
+    same = (got == Z).all(axis=1)
+    if build is paige_loop:
+        same |= (got == oct_neg(F, Z)).all(axis=1)
+    assert same.all()
+
+
+def test_labels_match_octonion_text():
+    for q in (2, 3):
+        F = field(q)
+        reps = paige_representatives(q)
+        want = [Octonion(F, row).to_text() for row in reps]
+        assert paige_loop(q).labels == want
+    assert loops._labels(field(4), np.array([[0, 1, 2, 3, 0, 1, 2, 3]])) \
+        == ["0,0;1,0;0,1;1,1;0,0;1,0;0,1;1,1"]
+
+
+def test_address_book_looks_up_both_signs():
+    for q in (3, 2):
+        F = field(q)
+        reps = paige_representatives(q)
+        addr = loops._address_book(F, reps)
+        rows = np.arange(len(reps))
+        assert (addr[loops._rep_address(q, reps)] == rows).all()
+        assert (addr[loops._rep_address(q, oct_neg(F, reps))] == rows).all()
+        assert np.count_nonzero(addr >= 0) == len(reps) * (2 if q == 3 else 1)
+    # the unit loop holds x and -x apart: each key maps to its own row
+    F = field(3)
+    units = loops._identity_to_front(loops.norm_one_array(F))
+    addr = loops._address_book(F, units)
+    assert (addr[loops._rep_address(3, units)] ==
+            np.arange(len(units))).all()
+
+
+def test_missing_product_raises(monkeypatch):
+    F = field(3)
+    reps = paige_representatives(3)
+    book = loops._address_book
+
+    def holed(F, reps):
+        addr = book(F, reps).copy()
+        x = reps[5:6]
+        addr[loops._rep_address(F.q, x)] = -1
+        addr[loops._rep_address(F.q, oct_neg(F, x))] = -1
+        return addr
+
+    monkeypatch.setattr(loops, "_address_book", holed)
+    with pytest.raises(InternalError):
+        loops._build_table(F, reps)
+
+
+def test_fill_over_gf4_matches_zorn_products():
+    """The digit layout of a degree-2 field, on a block of M*(4) rows:
+    each cell is looked up in the book of all 16,320 classes."""
+    F = field(4)
+    reps = paige_representatives(4)
+    addr = loops._address_book(F, reps)
+    sub = reps[::97]
+    out = np.empty((len(sub), len(sub)), dtype=np.int32)
+    assert _kernels_py.paige_table(F, sub, addr, out) == 0
+    want = addr[loops._rep_address(4, oct_mul(F, sub[:, None], sub[None]))]
+    assert (out == want).all()
+
+
+@pytest.mark.parametrize("q,want", [
+    (2, [[0], [1]]), (3, [[0], [1], [2]]),
+    (4, [[0, 0], [1, 0], [0, 1], [1, 1]]),
+    (9, [[v % 3, v // 3] for v in range(9)])])
+def test_field_digits(q, want):
+    assert _kernels_py._field_digits(field(q)).tolist() == want

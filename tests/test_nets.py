@@ -137,3 +137,26 @@ def test_coordinate_loop_of_paige_net(paige2, net2):
     assert (coordinate_loop(net2, 0).table == paige2.table).all()
     M = coordinate_loop(net2, 17)
     assert check_moufang(M, mode="sample", n_samples=5000, seed=0).passed
+
+
+@pytest.mark.parametrize("axis", [LineRef(1, 7), LineRef(2, 500),
+                                  LineRef(3, 1079)])
+def test_paige3_net_reflections(paige3, axis):
+    """On the net of M*(3), whose point ids pass 32,767, each class's Bol
+    reflection is an involution that fixes its axis pointwise and sends
+    lines to lines."""
+    net = net_from_loop(paige3())
+    assert net.num_points == 1080 ** 2
+    r = bol_reflection(net, axis)
+    assert r.images.max() == net.num_points - 1
+    assert (r * r).is_identity()
+    on_axis = net.line_points(axis)
+    assert (r.images[on_axis] == on_axis).all()
+    v = is_collineation(net, r)
+    assert v.ok and line_image(v, axis) == axis
+    # (x, y) -> (c / y, x \ c) for a class-3 axis, read off scalar divisions
+    if axis.cls == 3:
+        L, c = paige3(), axis.value
+        for x, y in ((1079, 1078), (500, 3), (2, 1000)):
+            assert net.point_coords(r(net.point(x, y))) == \
+                (L.rdiv(c, y), L.ldiv(x, c))
