@@ -2,7 +2,12 @@
 
 Three independent generator supplies: exhaustive backtracking over the
 Cayley table, the entrywise field Frobenius on Zorn representatives, and
-conjugation by octonion units.  Every map returned by any of them is
+conjugation by octonion units.  The backtracking search keeps one map
+per new orbit point of a greedy generating sequence and refutes every
+other candidate image, so it returns generators of the whole group, and
+|Aut| is the product of its orbit sizes; it never lists the group.  It
+runs up to config.MAX_AUT_BACKTRACK_N elements (q = 2), and at q = 3
+with override_limits.  Every map returned by any of them is
 validated as a loop automorphism directly by is_loop_automorphism, the
 package's one automorphism validator (the triality correspondence uses
 it too); nothing is trusted on the strength of a theorem.  The
@@ -94,34 +99,17 @@ class LoopAutomorphism:
 # -- exhaustive backtracking -------------------------------------------------
 
 
-def _minimal_generating_sequence(L):
-    """First subset (by size, then lexicographically) whose closure is L.
-
-    Index 0 is the identity and never helps, so it is skipped.
-    """
-    n = len(L)
-    if n == 1:
-        return []
-    pts = range(1, n)
-    for a in pts:
-        if len(subloop_closure(L, [a])) == n:
-            return [a]
-    for a in pts:
-        for b in range(a + 1, n):
-            if len(subloop_closure(L, [a, b])) == n:
-                return [a, b]
-    for a in pts:
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                if len(subloop_closure(L, [a, b, c])) == n:
-                    return [a, b, c]
-    for a in pts:
-        for b in range(a + 1, n):
-            for c in range(b + 1, n):
-                for d in range(c + 1, n):
-                    if len(subloop_closure(L, [a, b, c, d])) == n:
-                        return [a, b, c, d]
-    raise DomainError("no generating set of size <= 4 found")
+def _greedy_generators(L, orders):
+    """g0, g1, ...: each the first element of largest order outside the
+    subloop generated by the ones before it."""
+    gens = []
+    inside = subloop_closure(L, gens)
+    while len(inside) < len(L):
+        outside = orders.copy()
+        outside[inside] = 0
+        gens.append(int(np.argmax(outside)))
+        inside = subloop_closure(L, gens)
+    return gens
 
 
 def _propagate(T, phi, pinv, known, queue):
@@ -156,13 +144,18 @@ def _propagate(T, phi, pinv, known, queue):
 
 
 def aut_backtrack(L, override_limits=False):
-    """All automorphisms of L by exhaustive image assignment.
+    """The automorphism group of L by exhaustive search, as generators.
 
-    Images are chosen for a minimal generating sequence only; each
-    assignment is pruned by element-order profiles and by order profiles
-    of products with already-assigned generators, then closed under
-    multiplication, which either hits a conflict or determines the whole
-    map.  Returns the full automorphism group.
+    A map is fixed by its images of a greedy generating sequence g0, g1,
+    ... and is closed from them by _propagate.  Candidate images pass one
+    filter: element order, and the orders of products with the assigned
+    generators.  Levels are searched deepest first.  At level l, with
+    g0..g(l-1) fixed, each candidate c outside the orbit of g(l) under
+    the maps found so far either yields one automorphism with g(l) -> c,
+    found by extending over the deeper generators, or is refuted by
+    exhausting every extension.  Each orbit is then complete, |Aut| is
+    the product of the orbit sizes, and the group generated by the maps
+    found, each passed by is_loop_automorphism, must have that order.
     """
     n = len(L)
     if n > config.MAX_AUT_BACKTRACK_N and not override_limits:
@@ -170,52 +163,61 @@ def aut_backtrack(L, override_limits=False):
             f"exhaustive search capped at {config.MAX_AUT_BACKTRACK_N} "
             "elements; pass override_limits=True to force",
             bound=config.MAX_AUT_BACKTRACK_N)
-    if n == 1:
-        return PermGroup([], degree=1)
-    T = L.table.astype(np.int64)
+    T = L.table
     orders = np.array([element_order(L, x) for x in range(n)])
-    gens = _minimal_generating_sequence(L)
-    found = []
+    gens = _greedy_generators(L, orders)
 
-    def assign(idx, phi, pinv, known):
-        if idx == len(gens):
-            if (phi == -1).any():
-                raise InternalError("generating sequence did not close")
-            found.append(phi.copy())
-            return
-        g = gens[idx]
-        if phi[g] != -1:
-            raise InternalError("generator already determined")
+    def candidates(i, state):
+        phi, pinv, _ = state
+        g = gens[i]
         cands = np.flatnonzero((orders == orders[g]) & (pinv == -1))
-        for h in gens[:idx]:
+        for h in gens[:i]:
             fh = phi[h]
             cands = cands[orders[T[fh, cands]] == orders[T[h, g]]]
             cands = cands[orders[T[cands, fh]] == orders[T[g, h]]]
-        for c in cands:
-            phi2 = phi.copy()
-            pinv2 = pinv.copy()
-            known2 = known.copy()
-            phi2[g] = c
-            pinv2[c] = g
-            if _propagate(T, phi2, pinv2, known2, [g]):
-                assign(idx + 1, phi2, pinv2, known2)
+        return cands
 
-    phi0 = np.full(n, -1, dtype=np.int64)
-    pinv0 = np.full(n, -1, dtype=np.int64)
-    phi0[0] = 0
-    pinv0[0] = 0
-    assign(0, phi0, pinv0, [0])
+    def search(i, c, state):
+        """A total map extending state with gens[i] -> c, or None."""
+        phi, pinv, known = (x.copy() for x in state)
+        phi[gens[i]] = c
+        pinv[c] = gens[i]
+        if not _propagate(T, phi, pinv, known, [gens[i]]):
+            return None
+        if i + 1 == len(gens):
+            return phi
+        for d in candidates(i + 1, (phi, pinv, known)):
+            full = search(i + 1, d, (phi, pinv, known))
+            if full is not None:
+                return full
+        return None
 
-    stack = np.array(found, dtype=np.int64)
-    stack = stack[np.lexsort(stack.T[::-1])]
-    for row in stack:
-        if not is_loop_automorphism(L, row):
-            raise InternalError("backtracking produced a non-automorphism")
-    G = PermGroup([Permutation(row.astype(np.int32)) for row in stack],
-                  degree=n)
-    if G.order != len(stack):
-        raise InternalError("automorphism set is not closed")
-    return G.reduced()
+    found = []
+    order = 1
+    for l in reversed(range(len(gens))):
+        phi = np.full(n, -1, dtype=np.int64)
+        phi[[0] + gens[:l]] = [0] + gens[:l]
+        state = (phi, phi.copy(), [0])
+        _propagate(T, *state, gens[:l])
+        orbit = np.zeros(n, dtype=bool)
+        orbit[PermGroup(found, degree=n).orbit(gens[l])] = True
+        for c in candidates(l, state):
+            if orbit[c]:
+                continue
+            full = search(l, c, state)
+            if full is None:
+                continue
+            if not is_loop_automorphism(L, full):
+                raise InternalError("backtracking produced a "
+                                    "non-automorphism")
+            found.append(Permutation(full, _checked=True))
+            orbit[PermGroup(found, degree=n).orbit(gens[l])] = True
+        order *= int(np.count_nonzero(orbit))
+    G = PermGroup(found, degree=n)
+    if G.order != order:
+        raise InternalError("the maps found do not generate a group of the "
+                            "searched order")
+    return G
 
 
 # -- semilinear and linear generators on Paige loops -------------------------

@@ -468,16 +468,6 @@ class PermGroup:
                     out.append(Permutation(gs[i].copy(), _checked=True))
         return out
 
-    def reduced(self):
-        """The same group regenerated from its strong generators; use when
-        the input generating set is huge (e.g. a full enumeration)."""
-        g = PermGroup(self.strong_generators(), degree=self.degree,
-                      override_limits=True,
-                      base_hint=self._base_hint or None)
-        if g.order != self.order:
-            raise InternalError("regenerated group has a different order")
-        return g
-
     # -- queries ----------------------------------------------------------
 
     def orbit(self, pt):

@@ -206,7 +206,6 @@ def test_criterion_07_triality(acceptance_lines, tri2):
     assert total < 3600
 
 
-@pytest.mark.slow
 def test_criterion_08_main_theorem_q2(acceptance_lines, tri2, aut2, conj2):
     t0 = time.perf_counter()
     problems = []

@@ -86,6 +86,15 @@ def test_aut_of_small_groups(s3, c4, klein):
     assert aut_backtrack(klein).order == 6
     one = loop_from_table([[0]])
     assert aut_backtrack(one).order == 1
+    # C2^5 needs five generators; Aut(C2^5) = GL(5, 2)
+    c2_5 = loop_from_table([[a ^ b for b in range(32)] for a in range(32)])
+    assert aut_backtrack(c2_5).order == 9999360
+    # Aut(S3 x S3) = (S3 x S3) : C2; here a candidate image whose first
+    # extension over the deeper generators fails has a later one
+    t = s3.table
+    s3_s3 = loop_from_table([[6 * t[a // 6, b // 6] + t[a % 6, b % 6]
+                              for b in range(36)] for a in range(36)])
+    assert aut_backtrack(s3_s3).order == 72
 
 
 def test_aut_elements_are_automorphisms(s3):
@@ -99,11 +108,34 @@ def test_aut_backtrack_respects_cap(paige3):
         aut_backtrack(paige3())
 
 
-def test_aut_paige2(aut2, paige2):
-    g = aut2()
+def test_aut_paige2(monkeypatch, paige2, bfs_order):
+    """The search fully checks only the maps it returns, and they generate
+    all 12,096 automorphisms."""
+    calls = []
+    check = autos.is_loop_automorphism
+
+    def counted(L, images):
+        calls.append(1)
+        return check(L, images)
+
+    monkeypatch.setattr(autos, "is_loop_automorphism", counted)
+    g = aut_backtrack(paige2)
     assert g.order == 12096 == g2_order(2)
+    assert len(calls) == len(g.generators)
     for p in g.generators:
-        assert is_loop_automorphism(paige2, p.images)
+        assert check(paige2, p.images)
+    assert bfs_order([p.images for p in g.generators]) == 12096
+
+
+def test_aut_paige3_matches_conjugation(paige3):
+    """Past the cap, the search reaches |G2(3)|, and its group and the
+    conjugation group contain each other's generators."""
+    L = paige3()
+    g = aut_backtrack(L, override_limits=True)
+    assert g.order == g2_order(3)
+    c = conjugation_autos(field(3), L)
+    assert all(p in c for p in g.generators)
+    assert all(p in g for p in c.generators)
 
 
 def test_aut_paige2_is_not_simple(aut2):
@@ -256,7 +288,6 @@ def test_frobenius_bounds():
         frobenius_on_paige(16)
 
 
-@pytest.mark.slow
 def test_aut_summary_exact_q2(aut2, conj2):
     s = aut_summary(2)
     assert s == {"q": 2, "computed": "12096", "predicted": "12096",

@@ -214,7 +214,6 @@ def test_console_script_installed():
     assert out.stdout.strip() == "120"
 
 
-@pytest.mark.slow
 def test_report_all_fills_the_table_once(monkeypatch, capsys):
     monkeypatch.setattr(loops, "_LIVE", weakref.WeakValueDictionary())
     fills = []
@@ -231,7 +230,6 @@ def test_report_all_fills_the_table_once(monkeypatch, capsys):
     assert fills == [2]
 
 
-@pytest.mark.slow
 def test_report_all_q2_sections():
     out = run_cli("report", "all", "--q", "2", "--json", "--no-timing")
     assert out.returncode == 0
