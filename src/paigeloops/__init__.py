@@ -60,7 +60,7 @@ from .nets import (
     line_image,
     net_from_loop,
 )
-from .perm import Permutation, PermGroup, bsgs_build
+from .perm import Permutation, PermGroup
 from .triality import (
     StabilizerCorrespondence,
     TrialitySetup,
@@ -117,7 +117,6 @@ __all__ = [
     "aut_backtrack",
     "aut_summary",
     "bol_reflection",
-    "bsgs_build",
     "build_triality",
     "bundled_loop5",
     "central_elements",

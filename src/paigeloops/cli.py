@@ -311,12 +311,14 @@ def _cmd_report_all(cfg):
         results += _cmd_net_bol(RunConfig(command=("net", "bol"), q=q,
                                           no_timing=cfg.no_timing))
 
-    if L.n ** 2 <= config.MAX_PERM_DEGREE or cfg.override_limits:
+    try:
         results += _cmd_triality_verify(RunConfig(
             command=("triality", "verify"), q=q, samples=min(cfg.samples,
                                                              1000),
             seed=cfg.seed, override_limits=cfg.override_limits,
             no_timing=cfg.no_timing))
+    except LimitError:
+        pass    # build_triality refused the net before any reflection
 
     t0 = time.perf_counter()
     summary = aut_summary(q)

@@ -10,10 +10,10 @@ i*n + j.  Lines come in three classes:
 
 Line id = (class - 1)*n + value.
 
-bol_reflection and is_collineation gather from the loop's tables in
-their own dtype (int16 up to n = 32,767) with int32 indices, and widen
-to int32 only where a point id i*n + j is formed: at q = 3 the ids pass
-32,767.  Neither copies a table.
+bol_reflection, is_collineation and coordinate_loop gather from the
+loop's tables in their own dtype (int16 up to n = 32,767), and the first
+two widen to int32 only where a point id i*n + j is formed: at q = 3 the
+ids pass 32,767.  None of them copies a table.
 """
 
 from dataclasses import dataclass
@@ -214,14 +214,12 @@ def coordinate_loop(net, origin):
     if not 0 <= origin < n * n:
         raise DomainError("origin out of range")
     i0, j0 = divmod(int(origin), n)
-    T = L.table.astype(np.int64)
-    LD = L.ldiv_table.astype(np.int64)
-    RD = L.rdiv_table.astype(np.int64)
+    T, LD, RD = L.table, L.ldiv_table, L.rdiv_table
     # a o b = i0 \ (((i0 a) / j0) b)
     lead = RD[j0, T[i0, :]]                 # (i0 a)/j0 over a
-    table = LD[i0, T[np.ix_(lead, np.arange(n, dtype=np.int64))]]
+    table = LD[i0, T[lead, :]]
     if j0 != 0:
-        r = np.arange(n, dtype=np.int64)
+        r = np.arange(n, dtype=table.dtype)
         r[[0, j0]] = r[[j0, 0]]             # involutive relabeling
         table = r[table[np.ix_(r, r)]]
     return FiniteLoop(table)

@@ -540,49 +540,39 @@ class PermGroup:
         for arr in ch.iter_elements():
             yield Permutation(arr, _checked=True)
 
-    def derived_subgroup(self):
-        """Commutator subgroup: pairwise generator commutators closed under
-        normal closure."""
-        self._build()
+    def normal_closure(self, elements):
+        """The smallest subgroup containing `elements` that every generator
+        of this group normalizes.  Each element that joins the chain has
+        its conjugates by the generators sifted in turn; the subgroup only
+        grows, so once every joined element has been conjugated, each
+        generator maps the subgroup into itself, and in a finite group onto
+        itself."""
         ch = _Chain(self.degree)
-        gens = [g.images for g in self.generators]
-        ginv = [_kernels.invert(g) for g in gens]
+        conj = [(_kernels.invert(g.images), g.images)
+                for g in self.generators]
+        pending = [e.images for e in elements]
         added = []
-
-        def feed(images):
-            if ch.add_input_generator(images):
-                added.append(images)
-                return True
-            return False
-
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                c = _kernels.compose(_kernels.compose(_kernels.compose(
-                    ginv[i], ginv[j]), gens[i]), gens[j])
-                feed(c)
-        changed = True
-        while changed:
-            changed = False
-            for h in list(added):
-                for g, gi in zip(gens, ginv):
-                    c = _kernels.compose(_kernels.compose(gi, h), g)
-                    if not ch.is_member(c):
-                        feed(c)
-                        changed = True
+        while pending:
+            h = pending.pop()
+            if ch.add_input_generator(h):
+                added.append(h)
+                pending += [_kernels.compose(_kernels.compose(gi, h), g)
+                            for gi, g in conj]
         ch.release_caches()
-        out = PermGroup([Permutation(a, _checked=True) for a in added],
-                        degree=self.degree, override_limits=True,
-                        _chain=ch)
-        return out
+        return PermGroup([Permutation(a, _checked=True) for a in added],
+                         degree=self.degree, override_limits=True,
+                         _chain=ch)
+
+    def derived_subgroup(self):
+        """Commutator subgroup: the normal closure of the pairwise
+        generator commutators."""
+        gens = self.generators
+        return self.normal_closure(
+            [a.inverse() * b.inverse() * a * b
+             for i, a in enumerate(gens) for b in gens[i + 1:]])
 
     def __repr__(self):
         built = "built" if self._chain is not None else "lazy"
         return (f"PermGroup(degree={self.degree}, "
                 f"ngens={len(self.generators)}, {built})")
 
-
-def bsgs_build(generators, degree=None, override_limits=False):
-    """Build a PermGroup and force chain construction."""
-    G = PermGroup(generators, degree=degree, override_limits=override_limits)
-    G._build()
-    return G

@@ -1,16 +1,20 @@
 """Collineation groups of a Moufang 3-net and the triality axioms.
 
-Gamma0 is generated by all Bol reflections; the class action maps each
-collineation to its permutation of the three line classes; Gamma is the
-kernel (the direction-preserving part).  S is generated by the reflections
-in the three lines through a chosen origin, sigma = the class-1 one, and
-rho = sigma_1 * sigma_2 (left-to-right composition).
+Gamma0 is generated by all Bol reflections, and Gamma is its
+direction-preserving part, the kernel of the action on the three line
+classes.  S is generated by the reflections in the three lines through a
+chosen origin, sigma = the class-1 one, and rho = sigma_1 * sigma_2
+(left-to-right composition).
 
 Gamma0, Gamma and the reflections act on the net's 3n lines, with line id
-(class - 1)*n + value as in `nets`.  The action is faithful: a point is the
-meet of its class-1 and class-2 lines, so a collineation fixing every line
-fixes every point.  The origin (i0, j0) is the meet of lines i0 and n + j0,
-and these two lines are the first base points of Gamma's chain.
+(class - 1)*n + value as in `nets`, and on the three parallel classes, the
+net's points at infinity, as points 3n, 3n + 1 and 3n + 2.  The action is
+faithful: a point is the meet of its class-1 and class-2 lines, so a
+collineation fixing every line fixes every point.  The origin (i0, j0) is
+the meet of lines i0 and n + j0.  Gamma0's one chain has the base
+3n, 3n + 1, i0, n + j0, ...: Gamma is the stabilizer of the class points,
+two levels down, and the origin stabilizer in Gamma is two levels below
+that; both are tails of the chain, read without a base change.
 
 Conventions (order-sensitive): (p * q)(x) = q(p(x)), x^rho = rho^-1 x rho,
 and [g, s] = g^-1 s^-1 g s.
@@ -27,22 +31,16 @@ from .errors import (CorrespondenceError, DomainError, InternalError,
 from .nets import bol_reflection, is_collineation, line_image
 from .perm import PermGroup, Permutation
 
-# the six class actions as one-line maps {1,2,3} -> {1,2,3}
-_ID3 = (1, 2, 3)
-
-
-def _compose_action(a, b):
-    """Class action of (gamma then delta) from their actions a, b."""
-    return tuple(b[a[i - 1] - 1] for i in (1, 2, 3))
+_CENTRAL_CHUNK = 2048   # candidate images per block in central_elements
 
 
 def _line_permutation(verdict, n):
-    """The permutation of the 3n line ids induced by a verified
-    collineation."""
+    """The permutation of the 3n line ids and the 3 class points 3n..3n+2
+    induced by a verified collineation."""
+    act = np.asarray(verdict.direction_action, dtype=np.int32) - 1
     return Permutation(np.concatenate(
-        [(a - 1) * n + m for a, m in zip(verdict.direction_action,
-                                         verdict.value_maps)]
-    ).astype(np.int32), _checked=True)
+        [a * n + m for a, m in zip(act, verdict.value_maps)]
+        + [3 * n + act]).astype(np.int32), _checked=True)
 
 
 @dataclass(frozen=True)
@@ -51,8 +49,6 @@ class TrialitySetup:
     origin: int            # a point id i*n + j
     gamma0: PermGroup
     gamma: PermGroup
-    # class action of each gamma0 input generator, aligned by index
-    gen_actions: tuple
     S_gens: tuple          # reflections at the origin's three lines
     sigma: Permutation
     rho: Permutation
@@ -68,8 +64,9 @@ class TrialitySetup:
 
 def build_triality(net, origin=0, override_limits=False):
     """Construct Gamma0, Gamma, and the origin reflections for a Moufang
-    net, all acting on its lines; raises NotMoufangNetError when any Bol
-    reflection fails to be a collineation."""
+    net, all acting on its lines and line classes; raises
+    NotMoufangNetError when any Bol reflection fails to be a
+    collineation."""
     n = net.n
     if n * n > config.MAX_PERM_DEGREE and not override_limits:
         raise LimitError(
@@ -83,7 +80,6 @@ def build_triality(net, origin=0, override_limits=False):
     i0, j0 = divmod(int(origin), n)
 
     reflections = []
-    actions = []
     seen = set()
     origin_lines = net.point_lines(origin)
     origin_refs = {}
@@ -93,8 +89,7 @@ def build_triality(net, origin=0, override_limits=False):
             raise NotMoufangNetError(
                 f"Bol reflection at class {line.cls} value {line.value} "
                 "is not a collineation")
-        act = v.direction_action
-        if sorted(act) != [1, 2, 3] or act == _ID3:
+        if v.direction_preserving:
             raise InternalError("reflection class action is not a "
                                 "transposition")
         r = _line_permutation(v, n)
@@ -104,47 +99,19 @@ def build_triality(net, origin=0, override_limits=False):
         if key not in seen:
             seen.add(key)
             reflections.append(r)
-            actions.append(act)
 
-    d = 3 * n
-    base = [i0, n + j0]
-    gamma0 = PermGroup(reflections, degree=d,
-                       override_limits=override_limits, base_hint=base)
-
-    s1 = origin_refs[1]
-    s2 = origin_refs[2]
-    s3 = origin_refs[3]
-    a1 = (1, 3, 2)
-    a2 = (3, 2, 1)
-    # transversal of the class-action kernel: 1, s1, s2, s1s2, s2s1, s1s2s1
-    trans = {
-        _ID3: Permutation.identity(d),
-        a1: s1,
-        a2: s2,
-        _compose_action(a1, a2): s1 * s2,
-        _compose_action(a2, a1): s2 * s1,
-        _compose_action(_compose_action(a1, a2), a1): s1 * s2 * s1,
-    }
-    if len(trans) != 6:
-        raise InternalError("transversal does not cover S3")
-
-    kern_gens = []
-    kseen = set()
-    for t_act, t in trans.items():
-        for g, g_act in zip(reflections, actions):
-            prod_act = _compose_action(t_act, g_act)
-            rep = trans[prod_act]
-            k = t * g * rep.inverse()
-            key = k.images.tobytes()
-            if not k.is_identity() and key not in kseen:
-                kseen.add(key)
-                kern_gens.append(k)
-    gamma = PermGroup(kern_gens, degree=d,
-                      override_limits=override_limits, base_hint=base)
-
+    c = 3 * n
+    gamma0 = PermGroup(reflections, degree=c + 3,
+                       override_limits=override_limits,
+                       base_hint=[c, c + 1, i0, n + j0])
+    if gamma0.basic_orbit_sizes()[:2] != [3, 2]:
+        raise InternalError("the reflections do not act as S3 on the "
+                            "line classes")
+    gamma = gamma0.point_stabilizer(c).point_stabilizer(c + 1)
+    s1, s2, s3 = (origin_refs[k] for k in (1, 2, 3))
     return TrialitySetup(net=net, origin=int(origin), gamma0=gamma0,
-                         gamma=gamma, gen_actions=tuple(actions),
-                         S_gens=(s1, s2, s3), sigma=s1, rho=s1 * s2)
+                         gamma=gamma, S_gens=(s1, s2, s3), sigma=s1,
+                         rho=s1 * s2)
 
 
 def _commutator(g, s):
@@ -159,12 +126,12 @@ def verify_triality_axioms(T, samples=1000, seed=0):
     Axioms: the origin reflections generate a group of order 6 with
     sigma^2 = rho^3 = 1; [g, sigma] [g, sigma]^rho [g, sigma]^(rho^2) = 1
     for the generators of Gamma and uniformly sampled elements; and the
-    commutators [Gamma, {sigma, rho}] generate all of Gamma.
+    commutators [Gamma, {sigma, rho}], closed under conjugation by Gamma
+    and S, generate all of Gamma.
     """
     report = []
     sigma = T.sigma
     rho = T.rho
-    d = sigma.degree
 
     # (a) <sigma, rho> is S3
     failures = 0
@@ -174,18 +141,7 @@ def verify_triality_axioms(T, samples=1000, seed=0):
         failures += 1
     if sigma * rho == rho * sigma:
         failures += 1
-    els = {Permutation.identity(d)}
-    frontier = [Permutation.identity(d)]
-    while frontier and len(els) <= 8:
-        nxt = []
-        for p in frontier:
-            for g in (sigma, rho):
-                q = p * g
-                if q not in els:
-                    els.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    if len(els) != 6:
+    if PermGroup([sigma, rho]).order != 6:
         failures += 1
     report.append({"axiom": "s_subgroup", "checked": 4,
                    "failures": failures})
@@ -214,13 +170,15 @@ def verify_triality_axioms(T, samples=1000, seed=0):
     report.append({"axiom": "triality_equation", "checked": checked,
                    "failures": failures})
 
-    # (c) [Gamma, S] = Gamma by order equality
-    comm_gens = []
-    for g in T.gamma.generators:
-        for s in (sigma, rho):
-            comm_gens.append(_commutator(g, s))
-    H = PermGroup(comm_gens, degree=d, override_limits=True)
-    ok = H.order == T.gamma.order
+    # (c) [Gamma, S] = Gamma by order equality.  [Gamma, S] is the normal
+    # closure in <Gamma, S> of the commutators of their generators; it lies
+    # in Gamma only when S normalizes Gamma, so membership is checked too.
+    comm_gens = [_commutator(g, s) for g in T.gamma.generators
+                 for s in (sigma, rho)]
+    H = PermGroup(list(T.gamma.generators) + [sigma, rho],
+                  override_limits=True).normal_closure(comm_gens)
+    ok = H.order == T.gamma.order and all(h in T.gamma
+                                          for h in H.generators)
     report.append({"axiom": "gamma_commutator_span",
                    "checked": len(comm_gens), "failures": 0 if ok else 1})
     return report
@@ -239,14 +197,15 @@ class StabilizerCorrespondence:
 def origin_stabilizer_automorphisms(T):
     """Read Stab_Gamma(origin) as loop automorphisms.
 
-    The origin (0, 0) is the meet of lines 0 and n.  Each generator of their
-    joint stabilizer must act on all three line classes by one map alpha,
-    so that it sends the point (x, y) to (alpha(x), alpha(y)), and alpha
-    must pass is_loop_automorphism, the package's one automorphism
-    validator.  The elements passing both checks form a subgroup, so
-    checking the generators covers the whole stabilizer.
-    Returns the group of the alphas with all its elements as image
-    arrays."""
+    The origin (0, 0) is the meet of lines 0 and n, so in the setup's
+    chain its stabilizer is the tail two levels below Gamma.  Each
+    generator of the stabilizer must fix the three class points and act on
+    all three line classes by one map alpha, so that it sends the point
+    (x, y) to (alpha(x), alpha(y)), and alpha must pass
+    is_loop_automorphism, the package's one automorphism validator.  The
+    elements passing both checks form a subgroup, so checking the
+    generators covers the whole stabilizer.  Returns the group of the
+    alphas with all its elements as image arrays."""
     net = T.net
     n = net.n
     if T.origin != 0:
@@ -254,20 +213,20 @@ def origin_stabilizer_automorphisms(T):
             "the correspondence reads maps in the loop's own coordinates, "
             "which requires the setup based at the identity point (0, 0); "
             "coordinatize at the other origin with coordinate_loop first")
-    stab1 = T.gamma.point_stabilizer(0)
-    stab = stab1.point_stabilizer(n)
-    # the first two basic orbit sizes of a chain based at lines 0 and n
-    if (T.gamma.order // stab1.order, stab1.order // stab.order) != (n, n):
+    stab = T.gamma.point_stabilizer(0).point_stabilizer(n)
+    if T.gamma.order != n * n * stab.order:
         raise DomainError("Gamma is not transitive on the net's points")
     shift = (np.arange(3, dtype=np.int64) * n)[:, None]
+    classes = np.arange(3 * n, 3 * n + 3)
     gens = []
     for g in stab.generators:
-        img = g.images.astype(np.int64).reshape(3, n)
-        alpha = img[0]
-        if not (img == alpha + shift).all():
+        img = g.images.astype(np.int64)
+        alpha = img[:n]
+        if not ((img[:3 * n].reshape(3, n) == alpha + shift).all()
+                and (img[3 * n:] == classes).all()):
             raise CorrespondenceError(
-                "a stabilizer generator acts by different maps on the "
-                "three line classes")
+                "a stabilizer generator moves a line class or acts by "
+                "different maps on the three classes")
         if not is_loop_automorphism(net.loop, alpha):
             raise CorrespondenceError(
                 "an induced map is not multiplicative")
@@ -304,7 +263,7 @@ def induced_automorphism_check(T, alpha):
         centralizes = all(g * s * ginv == s for s in T.S_gens)
     report = {
         "collineation": bool(v.ok),
-        "direction_preserving": bool(v.ok) and v.direction_action == _ID3,
+        "direction_preserving": v.direction_preserving,
         "fixes_origin_lines": fixes_lines,
         "centralizes_origin_reflections": bool(centralizes),
     }
@@ -312,7 +271,7 @@ def induced_automorphism_check(T, alpha):
     return report
 
 
-def central_elements(G, chunk=2048):
+def central_elements(G):
     """Nontrivial central elements of a transitive permutation group,
     by semiregular propagation: a central element is determined by the
     image of the first base point; propagate each candidate image along
@@ -332,8 +291,8 @@ def central_elements(G, chunk=2048):
         raise InternalError("chain orbit disagrees with transitivity")
     gens = [g.images for g in G.generators]
     out = []
-    for lo in range(0, d, chunk):
-        cand = np.arange(lo, min(lo + chunk, d), dtype=np.int32)
+    for lo in range(0, d, _CENTRAL_CHUNK):
+        cand = np.arange(lo, min(lo + _CENTRAL_CHUNK, d), dtype=np.int32)
         m = len(cand)
         # Z[c, v] = image of point v under the candidate centralizer
         # sending base -> cand[c]

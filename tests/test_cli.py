@@ -5,7 +5,7 @@ import weakref
 
 import pytest
 
-from paigeloops import cli, load_tbl, loops, save_tbl
+from paigeloops import cli, config, load_tbl, loops, save_tbl
 
 KEYS = ["check", "parameters", "result", "value", "witness", "elapsed_ms"]
 
@@ -228,6 +228,17 @@ def test_report_all_fills_the_table_once(monkeypatch, capsys):
                     "--no-timing"]) == 0
     assert len(json.loads(capsys.readouterr().out)) == 13
     assert fills == [2]
+
+
+def test_report_all_skips_triality_past_the_degree_bound(monkeypatch,
+                                                        capsys):
+    # M*(2)'s net has 14,400 points; build_triality refuses it
+    monkeypatch.setattr(config, "MAX_PERM_DEGREE", 14_399)
+    assert cli.run(["report", "all", "--q", "2", "--json",
+                    "--no-timing"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert "net_bol" in {r["check"] for r in rows}
+    assert not [r for r in rows if r["check"].startswith("triality_")]
 
 
 def test_report_all_q2_sections():

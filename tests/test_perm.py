@@ -131,6 +131,22 @@ def test_derived_subgroup_series():
     assert c5.derived_subgroup().order == 1
 
 
+def test_normal_closure():
+    s4 = PermGroup([Permutation.from_cycles(4, [(0, 1)]),
+                    Permutation.from_cycles(4, [(0, 1, 2, 3)])])
+    cyc = lambda *c: Permutation.from_cycles(4, list(c))
+    assert s4.normal_closure([cyc((0, 1, 2))]).order == 12
+    assert s4.normal_closure([cyc((0, 1), (2, 3))]).order == 4
+    assert s4.normal_closure([cyc((2, 3))]).order == 24
+    assert s4.normal_closure([Permutation.identity(4)]).order == 1
+    # the closure under a subgroup that does not normalize <(0 1)(2 3)>
+    # inside S4 is still a subgroup of S4: V4 under <(0 1 2)> is V4
+    c3 = PermGroup([cyc((0, 1, 2))])
+    v = c3.normal_closure([cyc((0, 1), (2, 3))])
+    assert v.order == 4
+    assert all(g in v for g in (cyc((0, 2), (1, 3)), cyc((0, 3), (1, 2))))
+
+
 def test_elements_iteration():
     g = PermGroup([Permutation.from_cycles(4, [(0, 1, 2)]),
                    Permutation.from_cycles(4, [(1, 2, 3)])])

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -26,7 +27,13 @@ def test_group_net_orders(tri_s3, tri_c4):
     assert tri_s3.orders() == (648, 108, 6)
     assert tri_c4.orders() == (96, 16, 6)
     for T in (tri_s3, tri_c4):
-        assert T.gamma.degree == T.gamma0.degree == 3 * T.net.n
+        n = T.net.n
+        assert T.gamma.degree == T.gamma0.degree == 3 * n + 3
+        # the class points first, then the origin's lines 0 and n; Gamma
+        # is the tail below the class points
+        assert T.gamma0.base()[:4] == [3 * n, 3 * n + 1, 0, n]
+        assert T.gamma0.basic_orbit_sizes()[:4] == [3, 2, n, n]
+        assert T.gamma.base()[:2] == [0, n]
 
 
 def test_oversized_net_refused_before_any_reflection(s3, monkeypatch):
@@ -43,7 +50,7 @@ def test_generator_check_rejects_mixed_class_maps(tri_s3):
     n = tri_s3.net.n
     # class-1 lines 1 and 2 swapped, every other line fixed: it fixes the
     # origin's lines, but its class-1 and class-2 maps differ
-    bad = Permutation.from_cycles(3 * n, [(1, 2)])
+    bad = Permutation.from_cycles(3 * n + 3, [(1, 2)])
     gamma = PermGroup(list(tri_s3.gamma.generators) + [bad])
     T = dataclasses.replace(tri_s3, gamma=gamma)
     with pytest.raises(CorrespondenceError):
@@ -72,6 +79,40 @@ def test_axioms_on_group_nets(tri_s3, tri_c4):
     for T in (tri_s3, tri_c4):
         for entry in verify_triality_axioms(T, samples=300, seed=0):
             assert entry["failures"] == 0, entry
+
+
+def test_commutator_axiom_does_not_depend_on_the_generating_set(tri2):
+    """[Gamma, S] = Gamma must hold for any generating set of Gamma.  At
+    q = 2 two random words in pairs of same-class Bol reflections generate
+    Gamma, but their commutators with sigma and rho alone generate a
+    subgroup of order 768."""
+    T = tri2()
+    n = T.net.n
+    refl = T.gamma0.generators          # one per line, in line order
+    rng = np.random.default_rng(9)
+
+    def word():
+        w = None
+        for _ in range(3):
+            c = int(rng.integers(3))
+            x, y = (int(v) for v in rng.integers(n, size=2))
+            p = refl[c * n + x] * refl[c * n + y]
+            w = p if w is None else w * p
+        return w
+
+    gamma = PermGroup([word(), word()])
+    assert gamma.order == 174_182_400
+    T2 = dataclasses.replace(T, gamma=gamma)
+    for entry in verify_triality_axioms(T2, samples=20, seed=0):
+        assert entry["failures"] == 0, entry
+
+
+def test_commutator_axiom_fails_off_the_kernel(tri_s3):
+    # Gamma0 is not generated by its own commutators with S
+    T = dataclasses.replace(tri_s3, gamma=tri_s3.gamma0)
+    span = verify_triality_axioms(T, samples=10, seed=0)[2]
+    assert span["axiom"] == "gamma_commutator_span"
+    assert span["failures"] == 1
 
 
 def test_axiom_report_shape(tri_s3):
@@ -104,7 +145,8 @@ def test_every_s3_automorphism_passes_the_forward_check(tri_s3, s3):
         report = induced_automorphism_check(tri_s3, a.images)
         assert report["passed"], report
         passed += 1
-        lines = np.concatenate([a.images, a.images + n, a.images + 2 * n])
+        lines = np.concatenate([a.images, a.images + n, a.images + 2 * n,
+                                [3 * n, 3 * n + 1, 3 * n + 2]])
         if Permutation(lines) in tri_s3.gamma:
             in_gamma += 1
     assert passed == 6
@@ -163,10 +205,13 @@ def test_central_elements():
 
 def test_paige_triality_smoke(tri2, paige2):
     T = tri2()
-    o0, og, idx = T.orders()
-    assert idx == 6
-    assert og == o0 // 6
+    assert T.orders() == (1_045_094_400, 174_182_400, 6)
+    assert T.gamma0.basic_orbit_sizes() == [3, 2, 120, 120, 63, 24, 8]
     sc = origin_stabilizer_automorphisms(T)
     assert sc.count == sc.group.order
     for alpha in sc.alphas[:3]:
         assert is_loop_automorphism(paige2, alpha)
+    # the parent tree's 12,096 sorted maps, byte for byte
+    assert sc.alphas.shape == (12096, 120) and sc.alphas.dtype == np.int32
+    assert hashlib.sha256(sc.alphas.tobytes()).hexdigest() == (
+        "487f5438c1e542e5ddf24f432514d778eb6d781cfc09e6080719a9ae5a07f743")
