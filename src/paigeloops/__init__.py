@@ -15,7 +15,7 @@ from .autos import (
     g2_order,
     is_loop_automorphism,
 )
-from .config import DEFAULT_LOOP_MAX_Q, FIELD_MAX_Q, NORM_ONE_MAX_Q
+from .config import FIELD_MAX_Q, NORM_ONE_MAX_Q
 from .errors import (
     CorrespondenceError,
     DomainError,
@@ -91,7 +91,6 @@ def kernel_backend():
 __all__ = [
     "CollineationVerdict",
     "CorrespondenceError",
-    "DEFAULT_LOOP_MAX_Q",
     "DomainError",
     "FIELD_MAX_Q",
     "Field",

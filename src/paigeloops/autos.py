@@ -6,8 +6,9 @@ conjugation by octonion units.  The backtracking search keeps one map
 per new orbit point of a greedy generating sequence and refutes every
 other candidate image, so it returns generators of the whole group, and
 |Aut| is the product of its orbit sizes; it never lists the group.  It
-runs up to config.MAX_AUT_BACKTRACK_N elements (q = 2), and at q = 3
-with override_limits.  Every map returned by any of them is
+has no size cap of its own: beyond the table it is given it allocates
+only the loop's two division tables, which the table-cell bound covers,
+so it runs at q = 2, 3 and 4.  Every map returned by any of them is
 validated as a loop automorphism directly by is_loop_automorphism, the
 package's one automorphism validator (the triality correspondence uses
 it too); nothing is trusted on the strength of a theorem.  The
@@ -22,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import config
 from .errors import DomainError, InternalError, LimitError
 from .gf import _factor_prime_power, field
 from .loops import (
@@ -143,7 +143,7 @@ def _propagate(T, phi, pinv, known, queue):
     return True
 
 
-def aut_backtrack(L, override_limits=False):
+def aut_backtrack(L):
     """The automorphism group of L by exhaustive search, as generators.
 
     A map is fixed by its images of a greedy generating sequence g0, g1,
@@ -158,11 +158,6 @@ def aut_backtrack(L, override_limits=False):
     found, each passed by is_loop_automorphism, must have that order.
     """
     n = len(L)
-    if n > config.MAX_AUT_BACKTRACK_N and not override_limits:
-        raise LimitError(
-            f"exhaustive search capped at {config.MAX_AUT_BACKTRACK_N} "
-            "elements; pass override_limits=True to force",
-            bound=config.MAX_AUT_BACKTRACK_N)
     T = L.table
     orders = np.array([element_order(L, x) for x in range(n)])
     gens = _greedy_generators(L, orders)
@@ -232,8 +227,8 @@ def frobenius_on_paige(q):
     if q > 9:
         raise DomainError("supported up to q = 9")
     F = field(q)
+    L = paige_loop(q)    # the table-cell bound refuses q >= 5 before the scan
     reps = paige_representatives(q)
-    L = paige_loop(q)
     images = _address_book(F, reps)[_rep_address(q, F.frob_table[reps])]
     if images.min() < 0:
         raise InternalError("Frobenius image left the representative set")
@@ -360,8 +355,8 @@ def aut_summary(q, methods=None):
     prediction |G2(q)| * k alone, with computed and match left null.
     Every method yields a verified subgroup of the automorphism group, so
     "computed" reports the largest order found; it is exact whenever the
-    exhaustive backtrack is among the methods.  At q = 2 the conjugation
-    supply alone generates only an index-2 subgroup.
+    exhaustive backtrack is among the methods, as it is by default.  At
+    q = 2 the conjugation supply alone generates only an index-2 subgroup.
     """
     p, k = _factor_prime_power(q)
     if q > 9:
@@ -373,7 +368,7 @@ def aut_summary(q, methods=None):
         return {"q": q, "computed": None, "predicted": str(predicted),
                 "methods": [], "match": None}
     if methods is None:
-        methods = ["backtrack", "conjugation"] if q == 2 else ["conjugation"]
+        methods = ["backtrack", "conjugation"]
     for m in methods:
         if m not in ("backtrack", "conjugation", "stabilizer"):
             raise DomainError(f"unknown method {m!r}")

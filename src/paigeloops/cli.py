@@ -3,8 +3,9 @@
 Every verb calls one library operation and formats its outcome; no
 computation happens here.  Exit codes: 0 all checks passed, 1 a check
 found a mathematical counterexample, 2 usage error (including unreadable
-or corrupt table files), 3 a size limit was hit without --override-limits.
-The environment variable PAIGE_MAX_Q raises the default loop bound.
+or corrupt table files), 3 a size limit in config was hit.  Of those
+limits only the permutation-degree bound that build_triality checks can
+be lifted, with --override-limits.
 """
 
 import argparse
@@ -239,16 +240,14 @@ def _cmd_triality_verify(cfg):
 
 
 def _cmd_aut_count(cfg):
-    method = cfg.method
-    if method is None:
-        method = "backtrack" if cfg.q != 3 else "conjugation"
+    method = cfg.method or "backtrack"
     if method == "conjugation":
         if cfg.q is None:
             raise DomainError("the conjugation method needs --q")
         order = conjugation_autos(field(cfg.q)).order
     elif method == "backtrack":
         L, _ = _load_loop(cfg)
-        order = aut_backtrack(L, override_limits=cfg.override_limits).order
+        order = aut_backtrack(L).order
     else:
         L, _ = _load_loop(cfg)
         T = build_triality(net_from_loop(L),

@@ -20,7 +20,8 @@ from .errors import (DomainError, InternalError, LimitError,
                      NotLatinError)
 from .gf import field
 from .perm import PermGroup, Permutation
-from .zorn import norm_one_array, oct_canonical, oct_neg
+from .zorn import (norm_one_array, norm_one_count_formula, oct_canonical,
+                   oct_neg)
 
 _LATIN_CHUNK = 2048
 _DIV_ROWS = 256
@@ -88,8 +89,9 @@ class FiniteLoop:
 
     def _division(self, rows):
         """out[a, rows[a, b]] = b, scattered _DIV_ROWS rows at a time in the
-        table's dtype; read-only."""
+        table's dtype; read-only.  The table-cell bound is checked first."""
         n = self.n
+        _check_table_cells(n)
         out = np.empty((n, n), dtype=self.table.dtype)
         cols = np.arange(n, dtype=self.table.dtype)
         for a0 in range(0, n, _DIV_ROWS):
@@ -198,18 +200,9 @@ def _labels(F, reps):
     return [";".join([text[c] for c in row]) for row in reps.tolist()]
 
 
-def _check_loop_q(q):
-    bound = min(config.loop_max_q(), 9)
-    if q > bound:
-        raise LimitError(
-            f"loop construction capped at q = {bound} "
-            "(PAIGE_MAX_Q overrides up to 9)", bound=bound)
-
-
 def paige_representatives(q):
     """Canonical coset representatives of M*(q): the lex-min of each
     {x, -x} pair of norm-one Zorn matrices, identity first."""
-    _check_loop_q(q)
     F = field(q)
     units = norm_one_array(F)
     units = units[(oct_canonical(F, units) == units).all(axis=1)]
@@ -227,9 +220,9 @@ def paige_loop(q):
     The loop is shared: while any caller holds M*(q), this returns that
     same object, and a new one is built only once the last reference is
     gone.  Its table, like its lazily built division tables, is
-    read-only.  The size bounds are checked on every call."""
+    read-only.  The table-cell bound is checked on every call, before any
+    scan."""
     F = field(q)
-    _check_loop_q(q)
     _check_table_cells(paige_order_formula(q))
     L = _LIVE.get(q)
     if L is None:
@@ -243,8 +236,8 @@ def paige_loop(q):
 
 def unit_loop(q):
     """The loop M(q) of all norm-one Zorn matrices, before the quotient."""
-    _check_loop_q(q)
     F = field(q)
+    _check_table_cells(norm_one_count_formula(q))
     reps = _identity_to_front(norm_one_array(F))
     return FiniteLoop(_build_table(F, reps), labels=_labels(F, reps))
 
@@ -328,23 +321,17 @@ class MoufangVerdict:
         return self.passed
 
 
-def _moufang_pair(T, idn, x):
-    """For identity idn and fixed x, (lhs, rhs) as (n, n) arrays indexed
-    [y, z]."""
-    Tx = T[x]                           # x*y as a vector over y
+def _moufang_sides(T, idn, x, y, z):
+    """(lhs, rhs) of identity idn at index arrays x, y, z, which broadcast
+    against each other."""
     if idn == 1:
-        # ((x y) x) z = x (y (x z))
-        return T[T[Tx, x], :], Tx[T[:, Tx]]
+        return T[T[T[x, y], x], z], T[x, T[y, T[x, z]]]
     if idn == 2:
-        # ((z x) y) x = z (x (y x))
-        return T[T[T[:, x], :], x].T, T[:, T[x, T[:, x]]].T
-    zx = T[:, x]
-    lhs = T[np.ix_(Tx, zx)]             # (x y)(z x)
+        return T[T[T[z, x], y], x], T[z, T[x, T[y, x]]]
+    lhs = T[T[x, y], T[z, x]]
     if idn == 3:
-        # (x y) (z x) = x ((y z) x)
-        return lhs, Tx[T[T, x]]
-    # 4: (x y) (z x) = (x (y z)) x
-    return lhs, T[T[x, T], x]
+        return lhs, T[x, T[T[y, z], x]]
+    return lhs, T[T[x, T[y, z]], x]
 
 
 def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
@@ -368,9 +355,10 @@ def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
             raise LimitError(
                 f"{n}^3 triples exceed {config.MAX_FULL_TRIPLES}; "
                 "use sample mode", bound=config.MAX_FULL_TRIPLES)
+        ys = np.arange(n)[:, None]
         for idn in _MOUFANG_IDS:
             for x in range(n):
-                lhs, rhs = _moufang_pair(T, idn, x)
+                lhs, rhs = _moufang_sides(T, idn, x, ys, ys.T)
                 bad = lhs != rhs
                 if bad.any():
                     flat = int(np.argmax(bad.ravel()))
@@ -383,13 +371,8 @@ def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
         xs = rng.integers(0, n, size=n_samples)
         ys = rng.integers(0, n, size=n_samples)
         zs = rng.integers(0, n, size=n_samples)
-        pairs = (
-            (T[T[T[xs, ys], xs], zs], T[xs, T[ys, T[xs, zs]]]),
-            (T[T[T[zs, xs], ys], xs], T[zs, T[xs, T[ys, xs]]]),
-            (T[T[xs, ys], T[zs, xs]], T[xs, T[T[ys, zs], xs]]),
-            (T[T[xs, ys], T[zs, xs]], T[T[xs, T[ys, zs]], xs]),
-        )
-        for idn, (lhs, rhs) in zip(_MOUFANG_IDS, pairs):
+        for idn in _MOUFANG_IDS:
+            lhs, rhs = _moufang_sides(T, idn, xs, ys, zs)
             bad = np.nonzero(lhs != rhs)[0]
             if len(bad):
                 i = int(bad[0])
@@ -447,28 +430,14 @@ def is_simple(L, mlt=None):
     if mlt is None:
         mlt = multiplication_group(L)
     inn = mlt.point_stabilizer(0)
-    inn_rows = [g.images for g in inn.generators]
-    if not inn_rows:
-        inn_rows = [np.arange(L.n, dtype=np.int32)]
-    # orbit ids under Inn
+    # orbit ids under Inn, numbered by least member
     orbit_id = np.full(L.n, -1, dtype=np.int32)
-    norb = 0
-    for start in range(L.n):
-        if orbit_id[start] >= 0:
-            continue
-        orbit_id[start] = norb
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for p in frontier:
-                for row in inn_rows:
-                    q = int(row[p])
-                    if orbit_id[q] < 0:
-                        orbit_id[q] = norb
-                        nxt.append(q)
-            frontier = nxt
-        norb += 1
-    reps = [int(np.argmax(orbit_id == k)) for k in range(norb)]
+    reps = []
+    for x in range(L.n):
+        if orbit_id[x] < 0:
+            orbit_id[inn.orbit(x)] = len(reps)
+            reps.append(x)
+    norb = len(reps)
     for x in reps:
         if x == 0:
             continue

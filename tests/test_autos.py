@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from paigeloops import autos
+from paigeloops import autos, config, loops
 from paigeloops import (DomainError, FiniteLoop, LimitError,
                         LoopAutomorphism, Permutation, aut_backtrack,
                         aut_summary, conjugation_autos, field,
@@ -103,9 +103,12 @@ def test_aut_elements_are_automorphisms(s3):
         assert is_loop_automorphism(s3, p.images)
 
 
-def test_aut_backtrack_respects_cap(paige3):
+def test_aut_backtrack_respects_cap(monkeypatch, paige2):
+    """The search's division tables fall under the table-cell bound."""
+    monkeypatch.setattr(config, "MAX_TABLE_CELLS", 120**2 - 1)
+    fresh = FiniteLoop(paige2.table, _validated=True)
     with pytest.raises(LimitError):
-        aut_backtrack(paige3())
+        aut_backtrack(fresh)
 
 
 def test_aut_paige2(monkeypatch, paige2, bfs_order):
@@ -128,10 +131,10 @@ def test_aut_paige2(monkeypatch, paige2, bfs_order):
 
 
 def test_aut_paige3_matches_conjugation(paige3):
-    """Past the cap, the search reaches |G2(3)|, and its group and the
-    conjugation group contain each other's generators."""
+    """The search reaches |G2(3)|, and its group and the conjugation
+    group contain each other's generators."""
     L = paige3()
-    g = aut_backtrack(L, override_limits=True)
+    g = aut_backtrack(L)
     assert g.order == g2_order(3)
     c = conjugation_autos(field(3), L)
     assert all(p in c for p in g.generators)
@@ -294,6 +297,30 @@ def test_aut_summary_exact_q2(aut2, conj2):
                  "methods": ["backtrack", "conjugation"], "match": True}
     assert list(s) == ["q", "computed", "predicted", "methods", "match"]
     json.dumps(s)
+
+
+def test_frobenius_refuses_before_the_scan(monkeypatch):
+    """The table-cell bound refuses q = 5 and 9 before the q^8 norm-one
+    scan runs."""
+    calls = []
+    scan = loops.norm_one_array
+
+    def counted(F):
+        calls.append(F.q)
+        return scan(F)
+
+    monkeypatch.setattr(loops, "norm_one_array", counted)
+    for q in (5, 9):
+        with pytest.raises(LimitError):
+            frobenius_on_paige(q)
+    assert calls == []
+
+
+def test_aut_summary_exact_q3(paige3):
+    paige3()    # held, so aut_summary shares the session's M*(3)
+    s = aut_summary(3)
+    assert s == {"q": 3, "computed": "4245696", "predicted": "4245696",
+                 "methods": ["backtrack", "conjugation"], "match": True}
 
 
 def test_aut_summary_single_method(conj2):

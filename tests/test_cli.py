@@ -157,9 +157,24 @@ def test_aut_count_small_table(s3_tbl):
 
 
 def test_aut_count_limit_exits_3():
-    out = run_cli("aut", "count", "--q", "3", "--method", "backtrack")
+    out = run_cli("aut", "count", "--q", "5")
     assert out.returncode == 3
     assert "limit" in out.stderr
+
+
+def test_aut_count_q3_is_exhaustive(monkeypatch, capsys):
+    """The exhaustive search is the default method at q = 3 too."""
+    searched = []
+    search = cli.aut_backtrack
+
+    def counted(L):
+        searched.append(len(L))
+        return search(L)
+
+    monkeypatch.setattr(cli, "aut_backtrack", counted)
+    assert cli.run(["aut", "count", "--q", "3"]) == 0
+    assert capsys.readouterr().out.strip() == "4245696"
+    assert searched == [1080]
 
 
 def test_aut_summary_formula_only():

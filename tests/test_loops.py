@@ -63,10 +63,6 @@ def test_paige_loop_is_shared_while_held(monkeypatch):
         L.ldiv_table[1, 1] = 0
     # the bounds hold although M*(2) is live
     with monkeypatch.context() as m:
-        m.setenv("PAIGE_MAX_Q", "1")
-        with pytest.raises(LimitError):
-            paige_loop(2)
-    with monkeypatch.context() as m:
         m.setattr(loops.config, "MAX_TABLE_CELLS", 100)
         with pytest.raises(LimitError):
             paige_loop(2)
@@ -143,18 +139,47 @@ def test_moufang_paige_full(paige2):
 def test_moufang_sampled_catches_loop5(loop5):
     v = check_moufang(loop5, mode="full")
     assert not v.passed
-    idn, x, y, z = v.counterexample
-    assert idn in (1, 2, 3, 4)
-    # replay the first reported identity on the reported triple
-    T = loop5.table
-    if idn == 1:
-        assert T[T[T[x, y], x], z] != T[x, T[y, T[x, z]]]
     v2 = check_moufang(loop5, mode="sample", n_samples=4000, seed=1)
     assert not v2.passed
     assert check_moufang(loop5, mode="sample", n_samples=10, seed=1) == \
         check_moufang(loop5, mode="sample", n_samples=10, seed=1)
     with pytest.raises(DomainError):
         check_moufang(loop5, mode="exhaustive")
+
+
+def test_moufang_full_counterexample_is_least(loop5):
+    """Full mode reports the least (identity, x, y, z) that a plain sweep
+    of the four identities, written out here, finds."""
+    rows = loop5.table.tolist()
+
+    def m(a, b):
+        return rows[a][b]
+
+    sides = {
+        1: lambda x, y, z: (m(m(m(x, y), x), z), m(x, m(y, m(x, z)))),
+        2: lambda x, y, z: (m(m(m(z, x), y), x), m(z, m(x, m(y, x)))),
+        3: lambda x, y, z: (m(m(x, y), m(z, x)), m(x, m(m(y, z), x))),
+        4: lambda x, y, z: (m(m(x, y), m(z, x)), m(m(x, m(y, z)), x)),
+    }
+    n = len(loop5)
+    bad = [(idn, x, y, z) for idn in (1, 2, 3, 4)
+           for x in range(n) for y in range(n) for z in range(n)
+           if len(set(sides[idn](x, y, z))) == 2]
+    assert check_moufang(loop5, mode="full").counterexample == bad[0]
+    # every identity, in the full mode's shapes and the sample mode's
+    T = loop5.table
+    col = np.arange(n)[:, None]
+    xs, ys, zs = (a.ravel() for a in np.indices((n, n, n)))
+    for idn in (1, 2, 3, 4):
+        want = {c[1:] for c in bad if c[0] == idn}
+        full = set()
+        for x in range(n):
+            lhs, rhs = loops._moufang_sides(T, idn, x, col, col.T)
+            full |= {(x, int(y), int(z)) for y, z in np.argwhere(lhs != rhs)}
+        lhs, rhs = loops._moufang_sides(T, idn, xs, ys, zs)
+        sample = {(int(xs[i]), int(ys[i]), int(zs[i]))
+                  for i in np.flatnonzero(lhs != rhs)}
+        assert full == sample == want
 
 
 def test_moufang_full_mode_bounded(paige3):
