@@ -65,7 +65,6 @@ from .triality import (
     StabilizerCorrespondence,
     TrialitySetup,
     build_triality,
-    central_elements,
     induced_automorphism_check,
     origin_stabilizer_automorphisms,
     verify_triality_axioms,
@@ -118,7 +117,6 @@ __all__ = [
     "bol_reflection",
     "build_triality",
     "bundled_loop5",
-    "central_elements",
     "check_composition",
     "check_moufang",
     "check_two_unit_decomposition",

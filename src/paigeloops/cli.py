@@ -3,9 +3,8 @@
 Every verb calls one library operation and formats its outcome; no
 computation happens here.  Exit codes: 0 all checks passed, 1 a check
 found a mathematical counterexample, 2 usage error (including unreadable
-or corrupt table files), 3 a size limit in config was hit.  Of those
-limits only the permutation-degree bound that build_triality checks can
-be lifted, with --override-limits.
+or corrupt table files), 3 a size limit in config was hit.  No limit
+can be lifted from here.
 """
 
 import argparse
@@ -53,7 +52,6 @@ class RunConfig:
     out: str = None
     json: bool = False
     no_timing: bool = False
-    override_limits: bool = False
     method: str = None
     methods: tuple = None
 
@@ -220,7 +218,7 @@ def _cmd_triality_verify(cfg):
     net = net_from_loop(L)
     t0 = time.perf_counter()
     try:
-        T = build_triality(net, override_limits=cfg.override_limits)
+        T = build_triality(net)
     except NotMoufangNetError as e:
         return [_result("triality_orders", params, False, witness=str(e),
                         started=t0, cfg=cfg)]
@@ -250,8 +248,7 @@ def _cmd_aut_count(cfg):
         order = aut_backtrack(L).order
     else:
         L, _ = _load_loop(cfg)
-        T = build_triality(net_from_loop(L),
-                           override_limits=cfg.override_limits)
+        T = build_triality(net_from_loop(L))
         order = origin_stabilizer_automorphisms(T).group.order
     print(order)
     return []
@@ -268,10 +265,12 @@ def _cmd_aut_summary(cfg):
 def _cmd_report_all(cfg):
     """Battery of checks within the default limits for this q.
 
-    Oversized sections (full Moufang sweeps past the triple bound, nets
-    and triality past the permutation-degree bound, simplicity past the
-    orbit-scan bound) are left out rather than aborting the run;
-    --override-limits restores the triality section at larger q.
+    Oversized sections are left out rather than aborting the run: the
+    simplicity and triality rows when is_simple or build_triality raises
+    LimitError (past order 2,000, and past the permutation-degree bound,
+    which the q = 4 net exceeds), and `mlt order` and `net bol` past
+    order 2,000, where they would take minutes.  The Moufang check falls
+    back to sample mode past the triple bound.
     """
     if cfg.q is None:
         raise DomainError("--q is required")
@@ -290,10 +289,12 @@ def _cmd_report_all(cfg):
     results += _cmd_loop_check(sub)
     results += _cmd_loop_check(RunConfig(command=("loop", "check", "center"),
                                          q=q, no_timing=cfg.no_timing))
-    if L.n <= 2000:
+    try:
         results += _cmd_loop_check(RunConfig(
             command=("loop", "check", "simple"), q=q,
             no_timing=cfg.no_timing))
+    except LimitError:
+        pass    # is_simple refused the loop before any work
 
     results += _cmd_octonion_check(RunConfig(
         command=("octonion", "check", "composition"), q=q, mode=cfg.mode,
@@ -314,8 +315,7 @@ def _cmd_report_all(cfg):
         results += _cmd_triality_verify(RunConfig(
             command=("triality", "verify"), q=q, samples=min(cfg.samples,
                                                              1000),
-            seed=cfg.seed, override_limits=cfg.override_limits,
-            no_timing=cfg.no_timing))
+            seed=cfg.seed, no_timing=cfg.no_timing))
     except LimitError:
         pass    # build_triality refused the net before any reflection
 
@@ -345,8 +345,7 @@ _HANDLERS = {
 
 
 def _add_common(p, q=True, table=False, mode=False, sampling=False,
-                out=False, report=False, override=False, method=False,
-                methods=False):
+                out=False, report=False, method=False, methods=False):
     if q:
         p.add_argument("--q", type=int)
     if table:
@@ -362,8 +361,6 @@ def _add_common(p, q=True, table=False, mode=False, sampling=False,
         p.add_argument("--json", action="store_true")
         p.add_argument("--out")
         p.add_argument("--no-timing", action="store_true")
-    if override:
-        p.add_argument("--override-limits", action="store_true")
     if method:
         p.add_argument("--method",
                        choices=["backtrack", "conjugation", "stabilizer"])
@@ -401,18 +398,16 @@ def _build_parser():
     tri = sub.add_parser("triality").add_subparsers(dest="action",
                                                     required=True)
     tv = tri.add_parser("verify")
-    _add_common(tv, table=True, sampling=True, report=True, override=True)
+    _add_common(tv, table=True, sampling=True, report=True)
     tv.set_defaults(samples=1000)
 
     aut = sub.add_parser("aut").add_subparsers(dest="action", required=True)
-    _add_common(aut.add_parser("count"), table=True, override=True,
-                method=True)
+    _add_common(aut.add_parser("count"), table=True, method=True)
     _add_common(aut.add_parser("summary"), methods=True)
 
     rep = sub.add_parser("report").add_subparsers(dest="action",
                                                   required=True)
-    _add_common(rep.add_parser("all"), mode=True, sampling=True, report=True,
-                override=True)
+    _add_common(rep.add_parser("all"), mode=True, sampling=True, report=True)
     return top
 
 
@@ -433,7 +428,6 @@ def _config_from_args(ns):
         out=getattr(ns, "out", None),
         json=getattr(ns, "json", False),
         no_timing=getattr(ns, "no_timing", False),
-        override_limits=getattr(ns, "override_limits", False),
         method=getattr(ns, "method", None),
         methods=methods)
 

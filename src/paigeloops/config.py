@@ -16,10 +16,10 @@ NORM_ONE_MAX_Q = 9
 # (q=4 fits, q=5 not).
 MAX_TABLE_CELLS = 300_000_000
 
-# Permutation actions above this degree, and nets with more points than this,
-# need override_limits (the q=3 net has 1_166_400 points and is out of default
-# scope).
-MAX_PERM_DEGREE = 100_000
+# Largest permutation degree, and most points in a net that build_triality
+# takes.  The q=3 net has 1_166_400 points, and one Bol reflection check on
+# it peaks at about 30 MiB of numpy arrays; the q=4 net has 266_342_400.
+MAX_PERM_DEGREE = 10_000_000
 
 # Full n^3 triple sweeps (Moufang / associativity) above this need sampling.
 MAX_FULL_TRIPLES = 1_000_000_000

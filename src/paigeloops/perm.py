@@ -387,8 +387,8 @@ class PermGroup:
     """Permutation group defined by generators, with a lazily built
     deterministic stabilizer chain."""
 
-    def __init__(self, generators, degree=None, override_limits=False,
-                 base_hint=None, _chain=None):
+    def __init__(self, generators, degree=None, base_hint=None,
+                 _chain=None):
         gens = []
         for g in generators:
             if not isinstance(g, Permutation):
@@ -402,10 +402,10 @@ class PermGroup:
         for g in gens:
             if g.degree != degree:
                 raise DomainError("generator degree mismatch")
-        if degree > config.MAX_PERM_DEGREE and not override_limits:
+        if degree > config.MAX_PERM_DEGREE:
             raise LimitError(
-                f"degree {degree} exceeds {config.MAX_PERM_DEGREE}; pass "
-                "override_limits=True to force", bound=config.MAX_PERM_DEGREE)
+                f"degree {degree} exceeds {config.MAX_PERM_DEGREE}",
+                bound=config.MAX_PERM_DEGREE)
         self.degree = degree
         self.generators = gens
         self._base_hint = list(base_hint) if base_hint else []
@@ -519,8 +519,7 @@ class PermGroup:
             gs = tail.genstacks[0]
             for i in range(0, gs.shape[0], 2):
                 gens.append(Permutation(gs[i].copy(), _checked=True))
-        return PermGroup(gens, degree=self.degree, override_limits=True,
-                         _chain=tail)
+        return PermGroup(gens, degree=self.degree, _chain=tail)
 
     def random_uniform(self, seed):
         """One exactly uniform element, deterministic for a given seed."""
@@ -560,8 +559,7 @@ class PermGroup:
                             for gi, g in conj]
         ch.release_caches()
         return PermGroup([Permutation(a, _checked=True) for a in added],
-                         degree=self.degree, override_limits=True,
-                         _chain=ch)
+                         degree=self.degree, _chain=ch)
 
     def derived_subgroup(self):
         """Commutator subgroup: the normal closure of the pairwise

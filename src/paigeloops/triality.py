@@ -2,9 +2,11 @@
 
 Gamma0 is generated by all Bol reflections, and Gamma is its
 direction-preserving part, the kernel of the action on the three line
-classes.  S is generated by the reflections in the three lines through a
-chosen origin, sigma = the class-1 one, and rho = sigma_1 * sigma_2
-(left-to-right composition).
+classes.  build_triality checks only the reflections whose axes the
+group generated so far does not reach (its docstring gives the
+argument): 7 of 360 at q = 2 and 6 of 3,240 at q = 3.  S is generated by
+the reflections in the three lines through a chosen origin, sigma = the
+class-1 one, and rho = sigma_1 * sigma_2 (left-to-right composition).
 
 Gamma0, Gamma and the reflections act on the net's 3n lines, with line id
 (class - 1)*n + value as in `nets`, and on the three parallel classes, the
@@ -30,8 +32,6 @@ from .errors import (CorrespondenceError, DomainError, InternalError,
                      LimitError, NotMoufangNetError)
 from .nets import bol_reflection, is_collineation, line_image
 from .perm import PermGroup, Permutation
-
-_CENTRAL_CHUNK = 2048   # candidate images per block in central_elements
 
 
 def _line_permutation(verdict, n):
@@ -62,16 +62,29 @@ class TrialitySetup:
         return o0, og, o0 // og
 
 
-def build_triality(net, origin=0, override_limits=False):
+def build_triality(net, origin=0):
     """Construct Gamma0, Gamma, and the origin reflections for a Moufang
     net, all acting on its lines and line classes; raises
-    NotMoufangNetError when any Bol reflection fails to be a
-    collineation."""
+    NotMoufangNetError when a checked Bol reflection fails to be a
+    collineation.
+
+    Only some of the 3n reflections are built and checked, each with
+    bol_reflection and is_collineation on the net's points: first the
+    three at the origin's lines, which S needs, then, walking the other
+    lines in order, each line that lies outside the orbits of the checked
+    axes under the group generated by the reflections checked so far.
+    The package takes the rest as following from the definition.  A Bol
+    reflection is defined by incidence and line class alone, so
+    g sigma_l g^-1 = sigma_g(l) for every collineation g.  A skipped axis
+    m = g(l), with l checked and g in the group, therefore has a
+    reflection that is a collineation and already lies in the group, so
+    the group is Gamma0.  A reflection that fails is never skipped: were
+    its axis g(l), it would be g sigma_l g^-1, a collineation.  `net bol`
+    still checks every line directly."""
     n = net.n
-    if n * n > config.MAX_PERM_DEGREE and not override_limits:
+    if n * n > config.MAX_PERM_DEGREE:
         raise LimitError(
-            f"the net has {n * n} points, above {config.MAX_PERM_DEGREE}; "
-            "pass override_limits=True to force",
+            f"the net has {n * n} points, above {config.MAX_PERM_DEGREE}",
             bound=config.MAX_PERM_DEGREE)
     if n < 2:
         raise DomainError("net too small for a triality setup")
@@ -79,11 +92,16 @@ def build_triality(net, origin=0, override_limits=False):
         raise DomainError("origin out of range")
     i0, j0 = divmod(int(origin), n)
 
-    reflections = []
-    seen = set()
+    c = 3 * n
     origin_lines = net.point_lines(origin)
-    origin_refs = {}
-    for line in net.lines():
+    axes = []
+    reflections = []
+    covered = np.zeros(c + 3, dtype=bool)
+    for line in origin_lines + tuple(l for l in net.lines()
+                                     if l not in origin_lines):
+        axis = (line.cls - 1) * n + line.value
+        if covered[axis] and line not in origin_lines:
+            continue
         v = is_collineation(net, bol_reflection(net, line))
         if not v.ok:
             raise NotMoufangNetError(
@@ -92,23 +110,19 @@ def build_triality(net, origin=0, override_limits=False):
         if v.direction_preserving:
             raise InternalError("reflection class action is not a "
                                 "transposition")
-        r = _line_permutation(v, n)
-        if line in origin_lines:
-            origin_refs[line.cls] = r
-        key = r.images.tobytes()
-        if key not in seen:
-            seen.add(key)
-            reflections.append(r)
+        axes.append(axis)
+        reflections.append(_line_permutation(v, n))
+        checked = PermGroup(reflections, degree=c + 3)
+        for a in axes:
+            covered[checked.orbit(a)] = True
 
-    c = 3 * n
     gamma0 = PermGroup(reflections, degree=c + 3,
-                       override_limits=override_limits,
                        base_hint=[c, c + 1, i0, n + j0])
     if gamma0.basic_orbit_sizes()[:2] != [3, 2]:
         raise InternalError("the reflections do not act as S3 on the "
                             "line classes")
     gamma = gamma0.point_stabilizer(c).point_stabilizer(c + 1)
-    s1, s2, s3 = (origin_refs[k] for k in (1, 2, 3))
+    s1, s2, s3 = reflections[:3]
     return TrialitySetup(net=net, origin=int(origin), gamma0=gamma0,
                          gamma=gamma, S_gens=(s1, s2, s3), sigma=s1,
                          rho=s1 * s2)
@@ -175,8 +189,8 @@ def verify_triality_axioms(T, samples=1000, seed=0):
     # in Gamma only when S normalizes Gamma, so membership is checked too.
     comm_gens = [_commutator(g, s) for g in T.gamma.generators
                  for s in (sigma, rho)]
-    H = PermGroup(list(T.gamma.generators) + [sigma, rho],
-                  override_limits=True).normal_closure(comm_gens)
+    H = PermGroup(list(T.gamma.generators)
+                  + [sigma, rho]).normal_closure(comm_gens)
     ok = H.order == T.gamma.order and all(h in T.gamma
                                           for h in H.generators)
     report.append({"axiom": "gamma_commutator_span",
@@ -205,7 +219,9 @@ def origin_stabilizer_automorphisms(T):
     is_loop_automorphism, the package's one automorphism validator.  The
     elements passing both checks form a subgroup, so checking the
     generators covers the whole stabilizer.  Returns the group of the
-    alphas with all its elements as image arrays."""
+    alphas with all its elements as image arrays; raises LimitError before
+    any of that when the list would have more than MAX_TABLE_CELLS
+    cells."""
     net = T.net
     n = net.n
     if T.origin != 0:
@@ -216,6 +232,11 @@ def origin_stabilizer_automorphisms(T):
     stab = T.gamma.point_stabilizer(0).point_stabilizer(n)
     if T.gamma.order != n * n * stab.order:
         raise DomainError("Gamma is not transitive on the net's points")
+    if stab.order * n > config.MAX_TABLE_CELLS:
+        raise LimitError(
+            f"listing {stab.order} automorphisms needs {stab.order * n} "
+            f"cells, over {config.MAX_TABLE_CELLS}",
+            bound=config.MAX_TABLE_CELLS)
     shift = (np.arange(3, dtype=np.int64) * n)[:, None]
     classes = np.arange(3 * n, 3 * n + 3)
     gens = []
@@ -270,47 +291,3 @@ def induced_automorphism_check(T, alpha):
     report["passed"] = all(report.values())
     return report
 
-
-def central_elements(G):
-    """Nontrivial central elements of a transitive permutation group,
-    by semiregular propagation: a central element is determined by the
-    image of the first base point; propagate each candidate image along
-    the level-0 Schreier tree and keep those commuting with every
-    generator."""
-    if not G.is_transitive():
-        raise DomainError("central_elements needs a transitive group")
-    ch = G._build()
-    if ch.nlevels() == 0:
-        return []
-    d = G.degree
-    base = ch.bases[0]
-    sv = ch.svs[0]
-    gs = ch.genstacks[0]
-    orbit = ch.orbits[0][:ch.norbits[0]]
-    if ch.norbits[0] != d:
-        raise InternalError("chain orbit disagrees with transitivity")
-    gens = [g.images for g in G.generators]
-    out = []
-    for lo in range(0, d, _CENTRAL_CHUNK):
-        cand = np.arange(lo, min(lo + _CENTRAL_CHUNK, d), dtype=np.int32)
-        m = len(cand)
-        # Z[c, v] = image of point v under the candidate centralizer
-        # sending base -> cand[c]
-        Z = np.full((m, d), -1, dtype=np.int32)
-        Z[:, base] = cand
-        for v in orbit[1:]:
-            er = int(sv[v])
-            parent = int(gs[er ^ 1][v])
-            Z[:, v] = gs[er][Z[:, parent]]
-        alive = np.ones(m, dtype=bool)
-        for g in gens:
-            if not alive.any():
-                break
-            rows = np.nonzero(alive)[0]
-            bad = (Z[rows][:, g] != g[Z[rows]]).any(axis=1)
-            alive[rows[bad]] = False
-        for r in np.nonzero(alive)[0]:
-            z = Z[r].astype(np.int32)
-            if (z != np.arange(d, dtype=np.int32)).any():
-                out.append(Permutation(z, _checked=True))
-    return out

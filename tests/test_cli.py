@@ -5,7 +5,8 @@ import weakref
 
 import pytest
 
-from paigeloops import cli, config, load_tbl, loops, save_tbl
+from paigeloops import (LimitError, PermGroup, cli, config, load_tbl, loops,
+                        save_tbl)
 
 KEYS = ["check", "parameters", "result", "value", "witness", "elapsed_ms"]
 
@@ -254,6 +255,29 @@ def test_report_all_skips_triality_past_the_degree_bound(monkeypatch,
     rows = json.loads(capsys.readouterr().out)
     assert "net_bol" in {r["check"] for r in rows}
     assert not [r for r in rows if r["check"].startswith("triality_")]
+
+
+def test_report_all_skips_simplicity_when_refused(monkeypatch, capsys):
+    def refused(L, mlt=None):
+        raise LimitError("simplicity check capped", bound=0)
+
+    monkeypatch.setattr(cli, "is_simple", refused)
+    assert cli.run(["report", "all", "--q", "2", "--json",
+                    "--no-timing"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert "loop_center" in {r["check"] for r in rows}
+    assert "loop_simple" not in {r["check"] for r in rows}
+
+
+def test_aut_count_stabilizer_refuses_the_listing(monkeypatch):
+    # M*(2)'s 14,400-cell table fits, its 12,096 x 120 maps do not
+    def no_listing(self):
+        raise AssertionError("the stabilizer was listed")
+
+    monkeypatch.setattr(config, "MAX_TABLE_CELLS", 12_096 * 120 - 1)
+    monkeypatch.setattr(PermGroup, "elements", no_listing)
+    assert cli.run(["aut", "count", "--q", "2", "--method",
+                    "stabilizer"]) == 3
 
 
 def test_report_all_q2_sections():

@@ -170,16 +170,18 @@ def test_moufang_full_counterexample_is_least(loop5):
     T = loop5.table
     col = np.arange(n)[:, None]
     xs, ys, zs = (a.ravel() for a in np.indices((n, n, n)))
+    full = {idn: set() for idn in (1, 2, 3, 4)}
+    for x in range(n):
+        for idn, lhs, rhs in loops._moufang_sides(T, x, col, col.T):
+            full[idn] |= {(x, int(y), int(z))
+                          for y, z in np.argwhere(lhs != rhs)}
+    sample = {}
+    for idn, lhs, rhs in loops._moufang_sides(T, xs, ys, zs):
+        sample[idn] = {(int(xs[i]), int(ys[i]), int(zs[i]))
+                       for i in np.flatnonzero(lhs != rhs)}
     for idn in (1, 2, 3, 4):
         want = {c[1:] for c in bad if c[0] == idn}
-        full = set()
-        for x in range(n):
-            lhs, rhs = loops._moufang_sides(T, idn, x, col, col.T)
-            full |= {(x, int(y), int(z)) for y, z in np.argwhere(lhs != rhs)}
-        lhs, rhs = loops._moufang_sides(T, idn, xs, ys, zs)
-        sample = {(int(xs[i]), int(ys[i]), int(zs[i]))
-                  for i in np.flatnonzero(lhs != rhs)}
-        assert full == sample == want
+        assert full[idn] == sample[idn] == want
 
 
 def test_moufang_full_mode_bounded(paige3):

@@ -6,7 +6,8 @@ import pytest
 
 from paigeloops import (CorrespondenceError, DomainError, LimitError,
                         NotMoufangNetError, PermGroup, Permutation,
-                        central_elements, config, induced_automorphism_check,
+                        all_bol_reflections, config,
+                        induced_automorphism_check, is_collineation,
                         is_loop_automorphism, net_from_loop,
                         origin_stabilizer_automorphisms, triality)
 from paigeloops.autos import aut_backtrack
@@ -21,6 +22,27 @@ def tri_s3(s3):
 @pytest.fixture(scope="module")
 def tri_c4(c4):
     return build_triality(net_from_loop(c4))
+
+
+@pytest.fixture(scope="module")
+def reflections2(net2):
+    """All 360 Bol reflections of M*(2)'s net, each checked directly, as
+    permutations of the lines and classes, in line order."""
+    verdicts = [is_collineation(net2, r) for r in all_bol_reflections(net2)]
+    assert all(verdicts)
+    return [triality._line_permutation(v, net2.n) for v in verdicts]
+
+
+def counted_checks(monkeypatch):
+    calls = []
+    check = triality.is_collineation
+
+    def counted(net, p):
+        calls.append(1)
+        return check(net, p)
+
+    monkeypatch.setattr(triality, "is_collineation", counted)
+    return calls
 
 
 def test_group_net_orders(tri_s3, tri_c4):
@@ -81,14 +103,15 @@ def test_axioms_on_group_nets(tri_s3, tri_c4):
             assert entry["failures"] == 0, entry
 
 
-def test_commutator_axiom_does_not_depend_on_the_generating_set(tri2):
+def test_commutator_axiom_does_not_depend_on_the_generating_set(
+        tri2, reflections2):
     """[Gamma, S] = Gamma must hold for any generating set of Gamma.  At
     q = 2 two random words in pairs of same-class Bol reflections generate
     Gamma, but their commutators with sigma and rho alone generate a
     subgroup of order 768."""
     T = tri2()
     n = T.net.n
-    refl = T.gamma0.generators          # one per line, in line order
+    refl = reflections2
     rng = np.random.default_rng(9)
 
     def word():
@@ -190,19 +213,6 @@ def test_build_validates_origin(s3):
         origin_stabilizer_automorphisms(T)
 
 
-def test_central_elements():
-    rot = Permutation.from_cycles(4, [(0, 1, 2, 3)])
-    flip = Permutation.from_cycles(4, [(1, 3)])
-    d4 = PermGroup([rot, flip])
-    zs = central_elements(d4)
-    assert len(zs) == 1
-    assert zs[0] == rot * rot
-    c5 = PermGroup([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
-    assert len(central_elements(c5)) == 4
-    with pytest.raises(DomainError):
-        central_elements(PermGroup([Permutation.from_cycles(4, [(0, 1)])]))
-
-
 def test_paige_triality_smoke(tri2, paige2):
     T = tri2()
     assert T.orders() == (1_045_094_400, 174_182_400, 6)
@@ -215,3 +225,31 @@ def test_paige_triality_smoke(tri2, paige2):
     assert sc.alphas.shape == (12096, 120) and sc.alphas.dtype == np.int32
     assert hashlib.sha256(sc.alphas.tobytes()).hexdigest() == (
         "487f5438c1e542e5ddf24f432514d778eb6d781cfc09e6080719a9ae5a07f743")
+
+
+def test_only_unreached_reflections_are_checked(net2, monkeypatch):
+    calls = counted_checks(monkeypatch)
+    T = build_triality(net2)
+    assert 3 <= len(calls) <= 12
+    assert T.orders() == (1_045_094_400, 174_182_400, 6)
+
+
+def test_every_reflection_lies_in_gamma0(tri2, reflections2):
+    # the skipped reflections too: each is a collineation (checked in the
+    # fixture) and a member of the group the checked ones generate
+    T = tri2()
+    assert len(reflections2) == 360
+    assert all(r in T.gamma0 for r in reflections2)
+
+
+def test_paige3_triality_by_default(paige3, monkeypatch):
+    calls = counted_checks(monkeypatch)
+    T = build_triality(net_from_loop(paige3()))
+    assert len(calls) <= 12
+    assert T.orders() == (29_713_078_886_400, 4_952_179_814_400, 6)
+    assert T.gamma0.basic_orbit_sizes()[:4] == [3, 2, 1080, 1080]
+    for entry in verify_triality_axioms(T, samples=100, seed=0):
+        assert entry["failures"] == 0, entry
+    # listing the 4,245,696 automorphisms would take 4.6 * 10^9 cells
+    with pytest.raises(LimitError):
+        origin_stabilizer_automorphisms(T)
