@@ -134,13 +134,14 @@ def _reduce_at(h, lev, bases, svs, genstacks, uinvs, poss):
     if sv[x] == -1:
         return False
     u = uinvs[lev]
+    # the ndarray method, not np.take: its wrapper costs ~2 us a call here
     if u is not None:
-        np.take(u[poss[lev][x]], h, out=h)
+        u[poss[lev][x]].take(h, out=h)
         return True
     gs = genstacks[lev]
     while x != b:
         er = int(sv[x])
-        np.take(gs[er ^ 1], h, out=h)
+        gs[er ^ 1].take(h, out=h)
         x = int(h[b])
     return True
 
@@ -172,7 +173,7 @@ def _transversal_elem(lev, posi, bases, svs, genstacks, uinvs, poss, orbits):
         x = int(gs[er ^ 1][x])
     t = np.arange(d, dtype=np.int32)
     for er in reversed(path):
-        np.take(gs[er], t, out=t)
+        gs[er].take(t, out=t)
     return t
 
 
@@ -199,7 +200,7 @@ def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
         else:
             t = _transversal_elem(lev, posi, bases, svs, genstacks, uinvs,
                                   poss, orbits)
-            np.take(srow, t, out=t)
+            srow.take(t, out=t)
         stop = sift_run(t, lev, bases, svs, genstacks, uinvs, poss)
         if stop < len(bases) or not (t == ident).all():
             return posi, t

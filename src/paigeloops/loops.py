@@ -25,6 +25,7 @@ from .zorn import (norm_one_array, norm_one_count_formula, oct_canonical,
 
 _LATIN_CHUNK = 2048
 _DIV_ROWS = 256
+_SAMPLE_BLOCK = 65_536      # sampled Moufang triples gathered at once
 
 
 def _check_latin(table):
@@ -321,12 +322,20 @@ class MoufangVerdict:
 def _moufang_sides(T, x, y, z):
     """Yield (idn, lhs, rhs) for identities 1..4 in turn at index arrays
     x, y, z, which broadcast against each other.  Each pair is gathered
-    when it is asked for; (x y)(z x), the left side of 3 and 4, once."""
-    yield 1, T[T[T[x, y], x], z], T[x, T[y, T[x, z]]]
-    yield 2, T[T[T[z, x], y], x], T[z, T[x, T[y, x]]]
-    lhs = T[T[x, y], T[z, x]]
-    yield 3, lhs, T[x, T[T[y, z], x]]
-    yield 4, lhs, T[T[x, T[y, z]], x]
+    when it is asked for; (x y)(z x), the left side of 3 and 4, once.
+    Products are gathered from the flat table, cheaper than 2-D fancy
+    indexing."""
+    flat = T.ravel()
+    n = T.shape[1]
+
+    def m(a, b):
+        return flat.take(np.asarray(a, np.intp) * n + b)
+
+    yield 1, m(m(m(x, y), x), z), m(x, m(y, m(x, z)))
+    yield 2, m(m(m(z, x), y), x), m(z, m(x, m(y, x)))
+    lhs = m(m(x, y), m(z, x))
+    yield 3, lhs, m(x, m(m(y, z), x))
+    yield 4, lhs, m(m(x, m(y, z)), x)
 
 
 def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
@@ -371,14 +380,24 @@ def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
         xs = rng.integers(0, n, size=n_samples)
         ys = rng.integers(0, n, size=n_samples)
         zs = rng.integers(0, n, size=n_samples)
-        for idn, lhs, rhs in _moufang_sides(T, xs, ys, zs):
-            bad = np.nonzero(lhs != rhs)[0]
-            if len(bad):
-                i = int(bad[0])
-                return MoufangVerdict(
-                    False, (idn, int(xs[i]), int(ys[i]), int(zs[i])),
-                    4 * n_samples, "sample")
-        return MoufangVerdict(True, None, 4 * n_samples, "sample")
+        # blocks in sample order; once an identity fails, later blocks
+        # check only the identities before it
+        found = None
+        for i0 in range(0, n_samples, _SAMPLE_BLOCK):
+            blk = slice(i0, i0 + _SAMPLE_BLOCK)
+            for idn, lhs, rhs in _moufang_sides(T, xs[blk], ys[blk],
+                                                zs[blk]):
+                if found is not None and idn >= found[0]:
+                    break
+                bad = np.flatnonzero(lhs != rhs)
+                if len(bad):
+                    i = i0 + int(bad[0])
+                    found = (idn, int(xs[i]), int(ys[i]), int(zs[i]))
+                    break
+            if found is not None and found[0] == 1:
+                break
+        return MoufangVerdict(found is None, found, 4 * n_samples,
+                              "sample")
     raise DomainError(f"mode must be 'full' or 'sample', got {mode!r}")
 
 

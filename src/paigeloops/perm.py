@@ -347,24 +347,40 @@ class _Chain:
             t = np.arange(self.d, dtype=np.int32)
         return t
 
-    def iter_elements(self):
-        """All group elements, deepest-level transversal first; the order
-        is deterministic.  Yields image arrays owned by the caller."""
-        L = self.nlevels()
-        if L == 0:
-            yield np.arange(self.d, dtype=np.int32)
-            return
+    def element_array(self):
+        """All group elements as one (order, d) int32 array of image rows.
 
-        def rec(l, prefix):
-            for posi in range(self.norbits[l]):
-                u = self.transversal_elem(l, posi)
-                cur = u if prefix is None else _kernels.compose(prefix, u)
-                if l == 0:
-                    yield cur
-                else:
-                    yield from rec(l - 1, cur)
-
-        yield from rec(L - 1, None)
+        The group is the product U_{L-1} ... U_0 of its transversals
+        (Holt, Eick and O'Brien, 4.4).  Row i is u_{L-1} * ... * u_0 (left
+        factor applied first), each u_l running over level l's transversal
+        in orbit-position order, the deepest level slowest and level 0
+        fastest.  Each level's transversal is one matrix, filled from the
+        Schreier tree and inverted by one scatter, and the rows so far, E,
+        are composed with it in one gather, new[i, j] = U_l[j][E[i]],
+        deepest level first.  Raises LimitError before allocating when
+        order * d exceeds MAX_TABLE_CELLS."""
+        d = self.d
+        order = self.order()
+        if order * d > config.MAX_TABLE_CELLS:
+            raise LimitError(
+                f"listing {order} elements of degree {d} needs "
+                f"{order * d} cells, over {config.MAX_TABLE_CELLS}",
+                bound=config.MAX_TABLE_CELLS)
+        E = np.arange(d, dtype=np.int32)[None]
+        for l in range(self.nlevels() - 1, -1, -1):
+            rows = self.norbits[l]
+            uinv = np.empty((rows, d), dtype=np.int32)
+            _kernels.transversal_fill(self.genstacks[l], self.svs[l],
+                                      self.poss[l], self.orbits[l], rows,
+                                      self.bases[l], uinv)
+            # ut is U_l transposed, ut[uinv[j, k], j] = k, so ut[E[i]]
+            # holds U_l[j][E[i]] for every j
+            ut = np.empty((d, rows), dtype=np.int32)
+            ut[uinv, np.arange(rows)[:, None]] = np.arange(
+                d, dtype=np.int32)
+            E = ut[E].transpose(0, 2, 1).reshape(-1, d)
+        # from one level, the reshape is a transposed view
+        return np.ascontiguousarray(E)
 
     def tail(self):
         """The chain for levels 1.. (the stabilizer of bases[0]); shares
@@ -533,11 +549,16 @@ class PermGroup:
         return [Permutation(ch.random_element(rng), _checked=True)
                 for _ in range(count)]
 
+    def element_array(self):
+        """All elements as one (order, degree) int32 array of image rows,
+        in the chain's deterministic order; raises LimitError when it
+        would have more than MAX_TABLE_CELLS cells."""
+        return self._build().element_array()
+
     def elements(self):
-        """Iterator over all elements; intended for small groups."""
-        ch = self._build()
-        for arr in ch.iter_elements():
-            yield Permutation(arr, _checked=True)
+        """Iterator over all elements, the rows of element_array."""
+        for row in self.element_array():
+            yield Permutation(row, _checked=True)
 
     def normal_closure(self, elements):
         """The smallest subgroup containing `elements` that every generator

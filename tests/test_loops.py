@@ -184,6 +184,53 @@ def test_moufang_full_counterexample_is_least(loop5):
         assert full[idn] == sample[idn] == want
 
 
+def _first_sample_failures(L, n_samples, seed):
+    """Sample mode's draws, and the first failing sample of each identity,
+    from all draws at once with 2-D indexing."""
+    T = L.table.astype(np.int64)
+    rng = np.random.default_rng(seed)
+    x, y, z = (rng.integers(0, L.n, size=n_samples) for _ in range(3))
+    sides = [(T[T[T[x, y], x], z], T[x, T[y, T[x, z]]]),
+             (T[T[T[z, x], y], x], T[z, T[x, T[y, x]]]),
+             (T[T[x, y], T[z, x]], T[x, T[T[y, z], x]]),
+             (T[T[x, y], T[z, x]], T[T[x, T[y, z]], x])]
+    first = {idn: int(np.flatnonzero(lhs != rhs)[0])
+             for idn, (lhs, rhs) in enumerate(sides, 1) if (lhs != rhs).any()}
+    return (x, y, z), first
+
+
+def _unblocked_counterexample(L, n_samples, seed):
+    """The first failing sample of the least identity that fails."""
+    (x, y, z), first = _first_sample_failures(L, n_samples, seed)
+    if not first:
+        return None
+    idn = min(first)
+    i = first[idn]
+    return (idn, int(x[i]), int(y[i]), int(z[i]))
+
+
+def test_moufang_sample_blocks_keep_the_first_failure(loop5, monkeypatch):
+    n = 70_000      # more than one block
+    assert n > loops._SAMPLE_BLOCK
+    for seed in range(3):
+        v = check_moufang(loop5, mode="sample", n_samples=n, seed=seed)
+        assert v.counterexample == _unblocked_counterexample(loop5, n, seed)
+        assert v.triples_checked == 4 * n
+    # tiny blocks, where the least failing identity often first fails in a
+    # later block than another identity does
+    later_wins = 0
+    for block in (1, 2, 3):
+        monkeypatch.setattr(loops, "_SAMPLE_BLOCK", block)
+        for seed in range(20):
+            v = check_moufang(loop5, mode="sample", n_samples=40, seed=seed)
+            assert v.counterexample == _unblocked_counterexample(loop5, 40,
+                                                                 seed)
+            first = _first_sample_failures(loop5, 40, seed)[1]
+            later_wins += first[min(first)] // block > min(
+                first.values()) // block
+    assert later_wins
+
+
 def test_moufang_full_mode_bounded(paige3):
     with pytest.raises(LimitError):
         check_moufang(paige3(), mode="full")

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from paigeloops import (DomainError, LimitError, PermGroup, Permutation,
 from paigeloops._backend import kernels as active_kernels
 from paigeloops import _kernels_py
 from paigeloops.config import MAX_PERM_DEGREE
+from paigeloops.triality import origin_stabilizer_automorphisms
 
 
 def P(*images):
@@ -155,6 +157,57 @@ def test_elements_iteration():
     assert len({e.images.tobytes() for e in elems}) == 12
     for e in elems:
         assert e in g
+
+
+def _listing_groups():
+    return [PermGroup([Permutation.from_cycles(4, [(0, 1, 2)]),
+                       Permutation.from_cycles(4, [(1, 2, 3)])]),
+            PermGroup(_a6()),
+            PermGroup([Permutation.from_cycles(7, [(0, 1), (2, 3)]),
+                       Permutation.from_cycles(7, [(1, 4, 5, 6)])]),
+            PermGroup([Permutation.from_cycles(6, [(0, 1, 2), (3, 4, 5)])]),
+            PermGroup([Permutation.identity(3)])]
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_element_array_is_the_transversal_product(k):
+    """Row u_{L-1} * ... * u_0, the deepest level's orbit position slowest
+    and level 0's fastest: the order the recursive listing gave."""
+    g = _listing_groups()[k]
+    ch = g._build()
+    want = []
+    levels = range(ch.nlevels() - 1, -1, -1)
+    for posis in itertools.product(*(range(ch.norbits[l]) for l in levels)):
+        t = np.arange(g.degree, dtype=np.int32)
+        for l, posi in zip(levels, posis):
+            t = ch.transversal_elem(l, posi)[t]
+        want.append(t)
+    got = g.element_array()
+    assert got.dtype == np.int32 and got.flags.c_contiguous
+    assert got.shape == (g.order, g.degree)
+    assert (got == np.array(want)).all()
+    assert len(np.unique(got, axis=0)) == g.order
+    assert all(row in g for row in got)
+    assert all((p.images == row).all() for p, row in zip(g.elements(), got))
+    assert len(list(g.elements())) == g.order
+
+
+def test_element_array_refuses_before_it_allocates(monkeypatch):
+    g = PermGroup(_a6())
+    g._build()
+
+    def no_fill(*args):
+        raise AssertionError("a transversal was filled")
+
+    monkeypatch.setattr(perm.config, "MAX_TABLE_CELLS", 360 * 6 - 1)
+    monkeypatch.setattr(_kernels_py, "transversal_fill", no_fill)
+    with pytest.raises(LimitError):
+        g.element_array()
+    with pytest.raises(LimitError):
+        next(g.elements())
+    monkeypatch.undo()
+    monkeypatch.setattr(perm.config, "MAX_TABLE_CELLS", 360 * 6)
+    assert g.element_array().shape == (360, 6)
 
 
 def test_membership_rejects_degree_mismatch():
@@ -317,6 +370,28 @@ def test_sweep_with_and_without_transversal_cache(monkeypatch, paige2):
     assert chain() == cached
     assert walks
     assert cached[0] == 174_182_400
+
+
+def test_stabilizer_listing_walks_no_tree(monkeypatch, tri2):
+    """The 12,096 maps come from transversal matrices, not from one
+    Schreier-tree walk per element and level."""
+    T = tri2()
+    walks = []
+    walk = _kernels_py._transversal_elem
+
+    def counted(*args):
+        walks.append(1)
+        return walk(*args)
+
+    monkeypatch.setattr(_kernels_py, "_transversal_elem", counted)
+    sc = origin_stabilizer_automorphisms(T)
+    assert sc.count == 12_096
+    # only the alpha chain build walks, on a new level whose one-point
+    # orbit is not cached
+    assert len(walks) < 10
+    walks.clear()
+    assert (sc.group.element_array().shape == (12_096, 120)
+            and not walks)
 
 
 def test_active_backend_reported():
