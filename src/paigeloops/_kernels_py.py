@@ -14,6 +14,16 @@ C-contiguous:
   norbit valid entries; and an optional transversal-inverse cache uinv
   where row pos[x] holds u_x^{-1} (u_x maps the base to x).
 
+Sifting works on blocks: a (b, d) int32 array whose rows are b
+permutations, reduced level by level together.  At a cached level, row r
+is composed with row pos[x_r] of uinv, x_r its image of the base, in one
+flat gather from uinv.ravel() at h[r] + pos[x_r] * d; at an uncached
+level each row walks the tree.  A row that sticks at a level, or ends
+reduced but not the identity, is the block's answer, and the rows after
+it are dropped.  Blocks start at a few rows and double up to
+_BLOCK_CELLS cells, so a block costs about 1 MiB and a run that stops
+early wastes little.  A single row is a block of one.
+
 Orbit positions are stable: orbit extension appends new points and never
 relabels old ones, so sweep cursors stay valid.  A fresh rebuild (used when
 the tree grows too deep) relabels the tree but keeps positions; the caller
@@ -99,61 +109,108 @@ def orbit_update(gs, sv, dep, pos, orbit, norbit, base, fresh):
     return norbit, maxdep
 
 
+# Cells of one sift block: 60 rows at d = 1,080, where the block, its
+# int32 gather indices and numpy's intp copy of them come to about 1 MiB.
+_BLOCK_CELLS = 1 << 16
+_FIRST_ROWS = 4
+
+
+def _blocks(lo, hi, d):
+    """Consecutive ranges (a, b) covering lo..hi: _FIRST_ROWS rows first,
+    each next block twice the last, up to _BLOCK_CELLS // d rows."""
+    cap = max(1, _BLOCK_CELLS // d)
+    k = min(_FIRST_ROWS, cap)
+    while lo < hi:
+        yield lo, min(lo + k, hi)
+        lo += k
+        k = min(2 * k, cap)
+
+
 def transversal_fill(gs, sv, pos, orbit, norbit, base, uinv):
-    """Fill uinv so that row pos[x] = u_x^{-1} for every orbit point x."""
+    """Fill uinv so that row pos[x] = u_x^{-1} for every orbit point x.
+
+    u_y^{-1} is g_edge^{-1} then u_parent^{-1}, so a point's row is a
+    gather of its parent's row.  The tree is filled a layer at a time,
+    each point once its parent is, in blocks of rows that are one flat
+    gather each."""
     d = len(sv)
-    filled = np.zeros(d, dtype=bool)
     uinv[pos[base]] = np.arange(d, dtype=np.int32)
+    pts = orbit[:norbit]
+    todo = pts[pts != base]
+    if (sv[todo] < 0).any():
+        raise RuntimeError("disconnected Schreier tree")
+    parent = np.zeros(d, dtype=np.int32)
+    parent[todo] = gs[sv[todo] ^ 1, todo]
+    filled = np.zeros(d, dtype=bool)
     filled[base] = True
-    for k in range(norbit):
-        x = int(orbit[k])
-        if filled[x]:
-            continue
-        path = []
-        while not filled[x]:
-            path.append(x)
-            er = int(sv[x])
-            if er < 0:
-                raise RuntimeError("disconnected Schreier tree")
-            x = int(gs[er ^ 1][x])
-        for y in reversed(path):
-            er = int(sv[y])
-            parent = int(gs[er ^ 1][y])
-            # u_y^{-1} = g_edge^{-1} then u_parent^{-1}
-            uinv[pos[y]] = uinv[pos[parent]][gs[er ^ 1]]
-            filled[y] = True
-
-
-def _reduce_at(h, lev, bases, svs, genstacks, uinvs, poss):
-    """One level of sifting; returns True if reduced, False if stuck."""
-    b = bases[lev]
-    x = int(h[b])
-    if x == b:
-        return True
-    sv = svs[lev]
-    if sv[x] == -1:
-        return False
-    u = uinvs[lev]
-    # the ndarray method, not np.take: its wrapper costs ~2 us a call here
-    if u is not None:
-        u[poss[lev][x]].take(h, out=h)
-        return True
-    gs = genstacks[lev]
-    while x != b:
-        er = int(sv[x])
-        gs[er ^ 1].take(h, out=h)
-        x = int(h[b])
-    return True
+    flat = uinv.ravel()
+    cap = max(1, _BLOCK_CELLS // d)
+    while len(todo):
+        ready = todo[filled[parent[todo]]]
+        if not len(ready):
+            raise RuntimeError("disconnected Schreier tree")
+        for lo in range(0, len(ready), cap):
+            ys = ready[lo:lo + cap]
+            # row y[j] = row parent(y)[g_edge^{-1}(j)]
+            idx = gs[sv[ys] ^ 1] + (pos[parent[ys]].astype(np.intp)
+                                    * d)[:, None]
+            uinv[pos[ys]] = flat.take(idx)
+        filled[ready] = True
+        todo = todo[~filled[todo]]
 
 
 def sift_run(h, start, bases, svs, genstacks, uinvs, poss):
-    """Reduce h in place through levels start..; return stuck level or the
-    number of levels if it reduced everywhere."""
+    """Reduce h in place through levels start..
+
+    h is one row or a (b, d) block of rows.  A row returns the level it
+    stuck at, or the number of levels if it reduced everywhere.  A block
+    returns (i, level) for its first row i that does not sift to the
+    identity, stuck at level or reduced everywhere (level = the number of
+    levels) but not the identity; row i then holds exactly the residue of
+    the row's own sift.  Rows after i are left partly reduced.  When every
+    row sifts to the identity it returns (b, number of levels)."""
+    if h.ndim == 1:
+        return _sift_block(h[None], start, bases, svs, genstacks, uinvs,
+                           poss)[1]
+    return _sift_block(h, start, bases, svs, genstacks, uinvs, poss)
+
+
+def _sift_block(h, start, bases, svs, genstacks, uinvs, poss):
     nlev = len(bases)
+    b, d = h.shape
+    live = b                    # rows 0..live-1 are still being reduced
+    stuck = (b, nlev)
     for lev in range(start, nlev):
-        if not _reduce_at(h, lev, bases, svs, genstacks, uinvs, poss):
-            return lev
-    return nlev
+        base = bases[lev]
+        x = h[:live, base]
+        unreached = np.flatnonzero(svs[lev][x] == -1)
+        if len(unreached):
+            # a stuck row is a residue; the rows after it cannot matter
+            live = int(unreached[0])
+            stuck = (live, lev)
+            x = x[:live]
+        if not live:
+            break
+        u = uinvs[lev]
+        if u is not None:
+            # row r becomes h[r] then u_x^{-1} (u_base^{-1} is the
+            # identity); a cache has under 2^31 cells, so the int32
+            # indices are in range and "clip" only skips the bounds check
+            idx = h[:live] + (poss[lev][x] * d)[:, None]
+            u.ravel().take(idx, out=h[:live], mode="clip")
+            continue
+        gs = genstacks[lev]
+        sv = svs[lev]
+        act = np.flatnonzero(x != base)
+        while len(act):
+            er = sv[h[act, base]]
+            h[act] = np.take_along_axis(gs[er ^ 1], h[act], axis=1)
+            act = act[h[act, base] != base]
+    moved = np.flatnonzero(
+        (h[:live] != np.arange(d, dtype=h.dtype)).any(axis=1))
+    if len(moved):
+        return int(moved[0]), nlev
+    return stuck
 
 
 def _transversal_elem(lev, posi, bases, svs, genstacks, uinvs, poss, orbits):
@@ -183,27 +240,53 @@ def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
     of level lev and orbit positions startpos.. in order.
 
     Sifting t = u_p s from level lev absorbs the trailing u_{s(p)}^{-1} as
-    the level-lev reduction step.  With the level's transversal cached,
-    t = u_p s is scattered from the cached u_p^{-1} without inverting it:
-    t[u_p^{-1}(y)] = s(y).  Returns (next position, None) when the run
-    completes, or (failing position, residue) at the first nontrivial
-    residue.
+    the level-lev reduction step.  Positions are taken in blocks (see
+    _blocks) and each block's rows t are sifted as one.  Two kinds of
+    generator are not built, since the sift would find them in the group
+    of the levels below:
+    - on a Schreier-tree edge, where s(p) is labelled by s or p by
+      s^{-1}, u_p s = u_{s(p)} and the generator is the identity;
+    - for an involution s, the generator at p is the inverse of the one
+      at s(p), so when s(p) has the earlier position, that one has been
+      swept before p is reached and found in that group, which only
+      grows (a rebuilt tree resets the cursors, so both are of one tree).
+    With the level's transversal cached, t = u_p s is scattered from the
+    cached u_p^{-1} without inverting it: t[u_p^{-1}(y)] = s(y).  Returns
+    (next position, None) when the run completes, or (failing position,
+    residue) at the first nontrivial residue.
     """
     srow = genstacks[lev][2 * gi]
-    nstop = norbits[lev]
-    ident = np.arange(len(srow), dtype=np.int32)
+    d = len(srow)
+    sv = svs[lev]
+    pos = poss[lev]
+    orbit = orbits[lev]
     u = uinvs[lev]
-    for posi in range(startpos, nstop):
+    nstop = norbits[lev]
+    involution = bool((srow == genstacks[lev][2 * gi + 1]).all())
+    for lo, hi in _blocks(startpos, nstop, d):
+        ps = orbit[lo:hi]
+        sps = srow[ps]
+        build = (sv[sps] != 2 * gi) & (sv[ps] != 2 * gi + 1)
+        if involution:
+            build &= pos[sps] >= np.arange(lo, hi)
+        keep = lo + np.flatnonzero(build)
+        k = len(keep)
+        if not k:
+            continue
+        t = np.empty((k, d), dtype=np.int32)
         if u is not None:
-            t = np.empty_like(srow)
-            t[u[posi]] = srow
+            # one flat scatter: t[r, u_p^{-1}(y)] = s(y) for row r of p
+            idx = u[keep]
+            idx += (np.arange(k, dtype=np.int32) * d)[:, None]
+            t.ravel()[idx] = np.broadcast_to(srow, (k, d))
         else:
-            t = _transversal_elem(lev, posi, bases, svs, genstacks, uinvs,
-                                  poss, orbits)
+            for r, posi in enumerate(keep):
+                t[r] = _transversal_elem(lev, posi, bases, svs, genstacks,
+                                         uinvs, poss, orbits)
             srow.take(t, out=t)
-        stop = sift_run(t, lev, bases, svs, genstacks, uinvs, poss)
-        if stop < len(bases) or not (t == ident).all():
-            return posi, t
+        i, _ = sift_run(t, lev, bases, svs, genstacks, uinvs, poss)
+        if i < k:
+            return int(keep[i]), t[i].copy()
     return nstop, None
 
 

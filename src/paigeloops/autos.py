@@ -6,9 +6,9 @@ conjugation by octonion units.  The backtracking search keeps one map
 per new orbit point of a greedy generating sequence and refutes every
 other candidate image, so it returns generators of the whole group, and
 |Aut| is the product of its orbit sizes; it never lists the group.  It
-has no size cap of its own: beyond the table it is given it allocates
-only the loop's two division tables, which the table-cell bound covers,
-so it runs at q = 2, 3 and 4.  Every map returned by any of them is
+has no size cap of its own: it allocates no n x n table beyond the one
+it is given, whose size the table-cell bound covered, so it runs at
+q = 2, 3 and 4.  Every map returned by any of them is
 validated as a loop automorphism directly by is_loop_automorphism, the
 package's one automorphism validator (the triality correspondence uses
 it too); nothing is trusted on the strength of a theorem.  The
@@ -274,10 +274,22 @@ def _conjugation_setup(F):
 
 def _images(F, mats, X, addr):
     """Loop index of x @ M for each conjugation matrix M (rows) and each
-    Zorn representative x in X (columns).  Exact mod p: the scan runs over
-    prime fields only, whose elements are the integers 0..p-1."""
-    z = np.matmul(X, mats) % F.p
-    img = addr[_rep_address(F.q, z)]
+    Zorn representative x in X (columns).
+
+    The scan runs over prime fields only, whose elements are the integers
+    0..p-1, and the arithmetic is float32 and exact, as in
+    _kernels_py.paige_table: an entry of x @ M is an integer of at most
+    8 (p - 1)^2, so its quotient by p is correctly rounded and floors to
+    the integer quotient, and a base-q key, below q^8 <= 2^24, is an
+    exact float32 sum."""
+    p, q = F.p, F.q
+    z = np.matmul(X.astype(np.float32), mats.astype(np.float32))
+    r = z / p
+    np.floor(r, out=r)
+    r *= p
+    z -= r
+    keys = z @ (q ** np.arange(7, -1, -1)).astype(np.float32)
+    img = addr[keys.astype(np.intp)]
     if img.size and img.min() < 0:
         raise InternalError("conjugation image left the representative set")
     return img
@@ -330,12 +342,13 @@ def conjugation_autos(F, L=None, progress=None):
     for start in range(0, m, step):
         M = mats[start:start + step]
         keep = _screen(F, T, M, reps, addr)
-        for row in _images(F, M[keep], reps, addr):
-            if ch.is_member(row):
-                continue
-            if is_loop_automorphism(L, row):
-                ch.add_input_generator(row)
-                added.append(row.copy())
+        rows = _images(F, M[keep], reps, addr)
+        i = ch.first_nonmember(rows)
+        while i < len(rows):
+            if is_loop_automorphism(L, rows[i]):
+                ch.add_input_generator(rows[i])
+                added.append(rows[i].copy())
+            i = ch.first_nonmember(rows, i + 1)
         if progress is not None:
             progress(min(start + step, m), m)
     ch.release_caches()

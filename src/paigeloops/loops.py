@@ -271,7 +271,13 @@ def element_order(L, x):
 
 def subloop_closure(L, seed):
     """Least subset containing seed and e, closed under multiplication and
-    both divisions.  Returns a sorted array of element indices."""
+    both divisions.  Returns a sorted array of element indices.
+
+    Closing under the product alone is enough, so no division table is
+    built.  Let S be finite, contain e and be closed under the product.
+    For a in S, x -> a x maps S into S and is injective (L is a loop),
+    hence onto S, so a \\ b lies in S for every b in S; likewise
+    x -> x a gives b / a in S."""
     n = L.n
     mask = np.zeros(n, dtype=bool)
     mask[0] = True
@@ -279,12 +285,12 @@ def subloop_closure(L, seed):
         if not 0 <= x < n:
             raise DomainError("element out of range")
         mask[x] = True
-    tables = (L.table, L.ldiv_table, L.rdiv_table)
+    flat = L.table.ravel()
     while True:
         ix = np.nonzero(mask)[0]
-        cells = np.ix_(ix, ix)
-        for t in tables:
-            mask[t[cells]] = True
+        if len(ix) == n:
+            return ix
+        mask[flat.take(ix[:, None] * n + ix)] = True
         if np.count_nonzero(mask) == len(ix):
             return ix
 

@@ -15,11 +15,19 @@ installed at levels l+1..j only: it already lies in H^(l) and so in every
 H^(i) with i <= l, where it would add no element and no orbit point but
 |O_i| more Schreier generators, each sifting to the identity.  Orbits
 extend without relabeling existing points (so per-generator sweep cursors
-stay valid and each Schreier generator is sifted exactly once), and a tree
+stay valid and each Schreier generator is swept exactly once), and a tree
 that grows too deep is rebuilt fresh at the cost of resetting that level's
-cursors.  Base points: level 0 uses the least point moved by any input
-generator (or a caller-forced point for stabilizer base changes); each
-deeper level uses the least point moved by the residue that created it.
+cursors.  A Schreier generator u_p s u_{s(p)}^{-1} on an edge of the
+Schreier tree is the identity by construction and is skipped, and so is,
+for an involution s, one whose inverse, the generator at s(p), was swept
+first; every other one is sifted once, in blocks of rows that give each
+row exactly the residue of its own sift, and a sweep stops at the first
+nontrivial residue in orbit-position order.  Input generators are sifted in blocks
+too: members are skipped, and the first non-member is installed before
+the rest are sifted.  Base points: level 0 uses the least point moved by
+any input generator (or a caller-forced point for stabilizer base
+changes); each deeper level uses the least point moved by the residue
+that created it.
 """
 
 import numpy as np
@@ -317,7 +325,26 @@ class _Chain:
         self.complete_build()
         return True
 
+    def add_inputs(self, rows):
+        """add_input_generator for each of rows in turn, with the members
+        between two non-members skipped by block sifts."""
+        i = self.first_nonmember(rows)
+        while i < len(rows):
+            self.add_input_generator(rows[i])
+            i = self.first_nonmember(rows, i + 1)
+
     # -- queries ----------------------------------------------------------
+
+    def first_nonmember(self, rows, start=0):
+        """Index of the first of rows[start:] outside the group, or
+        len(rows).  Copies of the rows are sifted in blocks."""
+        for lo, hi in _kernels._blocks(start, len(rows), self.d):
+            h = np.array(rows[lo:hi], dtype=np.int32)
+            i, _ = _kernels.sift_run(h, 0, self.bases, self.svs,
+                                     self.genstacks, self.uinvs, self.poss)
+            if i < len(h):
+                return lo + i
+        return len(rows)
 
     def order(self):
         out = 1
@@ -435,17 +462,22 @@ class PermGroup:
     def _build(self):
         if self._chain is not None:
             return self._chain
-        ch = _Chain(self.degree)
-        nontrivial = [g for g in self.generators if not g.is_identity()]
+        d = self.degree
+        ch = _Chain(d)
+        rows = [g.images for g in self.generators]
         for b in self._base_hint:
             ch.add_level(b)
-        if not ch.nlevels() and nontrivial:
-            first = min(int(np.nonzero(
-                g.images != np.arange(self.degree, dtype=np.int32))[0][0])
-                for g in nontrivial)
-            ch.add_level(first)
-        for g in nontrivial:
-            ch.add_input_generator(g.images)
+        if not ch.nlevels():
+            # the least point any input moves, read off blocks of rows
+            first = d
+            for lo, hi in _kernels._blocks(0, len(rows), d):
+                moved = (np.array(rows[lo:hi]) != np.arange(d)).any(axis=0)
+                if moved.any():
+                    first = min(first, int(moved.argmax()))
+            if first < d:
+                ch.add_level(first)
+        # an identity input sifts to the identity and is skipped
+        ch.add_inputs(rows)
         ch.release_caches()
         self._chain = ch
         return ch
@@ -518,8 +550,7 @@ class PermGroup:
             return self._wrap_tail(tail)
         re = _Chain(self.degree)
         re.add_level(pt)
-        for g in self.strong_generators():
-            re.add_input_generator(g.images)
+        re.add_inputs([g.images for g in self.strong_generators()])
         re.release_caches()
         if re.order() != self.order:
             raise InternalError("base change produced a different order")

@@ -8,7 +8,9 @@ holder records nothing beyond the value.
 """
 
 import itertools
+import os
 import time
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,13 @@ from paigeloops.autos import aut_backtrack, conjugation_autos
 from paigeloops.triality import build_triality
 
 ACCEPTANCE_LINES = []
+
+# pytest imports the package from src/ (pythonpath in pyproject.toml); the
+# tests that start a Python process import it from there too
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+              else []))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -104,11 +104,15 @@ def test_aut_elements_are_automorphisms(s3):
 
 
 def test_aut_backtrack_respects_cap(monkeypatch, paige2):
-    """The search's division tables fall under the table-cell bound."""
+    """The search closes subloops under the product alone and builds no
+    division table, so a table-cell bound that refuses one does not stop
+    it."""
     monkeypatch.setattr(config, "MAX_TABLE_CELLS", 120**2 - 1)
     fresh = FiniteLoop(paige2.table, _validated=True)
+    assert aut_backtrack(fresh).order == 12096
+    assert fresh._ldiv is None and fresh._rdiv is None
     with pytest.raises(LimitError):
-        aut_backtrack(fresh)
+        fresh.ldiv_table
 
 
 def test_aut_paige2(monkeypatch, paige2, bfs_order):
@@ -206,6 +210,19 @@ def test_conjugation_matrices_match_the_zorn_product(q):
         want = oct_canonical(F, oct_mul(F, oct_mul(F, u, reps[None]), ui))
         got = autos._images(F, mats[s:s + 60], reps, addr)
         assert (got == addr[_rep_address(q, want)]).all()
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_float32_images_match_an_int64_reference(q):
+    """The float32 images of every scanned unit's map equal the keys of
+    x @ M mod p computed in int64."""
+    F = field(q)
+    mats, reps, addr = autos._conjugation_setup(F)
+    for s in range(0, len(mats), 120):
+        M = mats[s:s + 120]
+        z = np.matmul(reps.astype(np.int64), M.astype(np.int64)) % F.p
+        want = addr[_rep_address(q, z)]
+        assert np.array_equal(autos._images(F, M, reps, addr), want)
 
 
 def test_conjugation_sift_and_check_alone(monkeypatch, paige2):

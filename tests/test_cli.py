@@ -7,6 +7,7 @@ import pytest
 
 from paigeloops import (LimitError, PermGroup, cli, config, load_tbl, loops,
                         save_tbl)
+from paigeloops import _kernels_py
 
 KEYS = ["check", "parameters", "result", "value", "witness", "elapsed_ms"]
 
@@ -270,14 +271,31 @@ def test_report_all_skips_simplicity_when_refused(monkeypatch, capsys):
 
 
 def test_aut_count_stabilizer_refuses_the_listing(monkeypatch):
-    # M*(2)'s 14,400-cell table fits, its 12,096 x 120 maps do not
-    def no_listing(self):
-        raise AssertionError("the stabilizer was listed")
+    # M*(2)'s 14,400-cell table fits, its 12,096 x 120 maps do not: the
+    # listing is asked for and refuses before it fills a transversal
+    events = []
+    listing = PermGroup.element_array
+    fill = _kernels_py.transversal_fill
+
+    def recorded(self):
+        events.append("list")
+        try:
+            return listing(self)
+        except LimitError:
+            events.append("refused")
+            raise
+
+    def counted_fill(*args):
+        events.append("fill")
+        return fill(*args)
 
     monkeypatch.setattr(config, "MAX_TABLE_CELLS", 12_096 * 120 - 1)
-    monkeypatch.setattr(PermGroup, "elements", no_listing)
+    monkeypatch.setattr(PermGroup, "element_array", recorded)
+    monkeypatch.setattr(_kernels_py, "transversal_fill", counted_fill)
     assert cli.run(["aut", "count", "--q", "2", "--method",
                     "stabilizer"]) == 3
+    assert "fill" in events
+    assert events[events.index("list"):] == ["list", "refused"]
 
 
 def test_report_all_q2_sections():

@@ -274,6 +274,37 @@ def test_subloop_closure(paige2, s3):
     assert inside[T[np.ix_(sub, sub)]].all()
 
 
+def _closure_three_tables(tables, seed):
+    """Reference closure under the product and both divisions."""
+    mask = np.zeros(len(tables[0]), dtype=bool)
+    mask[0] = True
+    mask[seed] = True
+    while True:
+        ix = np.nonzero(mask)[0]
+        for t in tables:
+            mask[t[np.ix_(ix, ix)]] = True
+        if np.count_nonzero(mask) == len(ix):
+            return ix
+
+
+@pytest.mark.parametrize("name", ["M*(2)", "M*(3)", "loop5", "S3"])
+def test_subloop_closure_by_product_alone(name, paige2, paige3, loop5, s3):
+    """Closing under the product alone gives the closure under all three
+    operations, and builds no division table."""
+    L = {"M*(2)": lambda: paige2, "M*(3)": paige3, "loop5": lambda: loop5,
+         "S3": lambda: s3}[name]()
+    fresh = loops.FiniteLoop(L.table, _validated=True)
+    T = L.table
+    # row a of argsort(T) is a \ -, column b of argsort(T, axis=0) is - / b
+    tables = (T, np.argsort(T, axis=1), np.argsort(T, axis=0))
+    rng = np.random.default_rng(11)
+    for _ in range(40):
+        seed = rng.integers(0, L.n, size=int(rng.integers(1, 4)))
+        want = _closure_three_tables(tables, seed)
+        assert np.array_equal(subloop_closure(fresh, seed), want)
+    assert fresh._ldiv is None and fresh._rdiv is None
+
+
 def test_centers(paige2, s3, c4, klein):
     assert list(loop_center(paige2)) == [0]
     assert list(loop_center(s3)) == [0]

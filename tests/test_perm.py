@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import subprocess
@@ -345,6 +346,88 @@ def test_mlt_paige2_chain(monkeypatch, paige2):
     assert all(p in G for p in G.random_elements(10, seed=5))
 
 
+def _chain_digest(ch):
+    """SHA-256 of a chain's bases, basic orbits and generator stacks."""
+    h = hashlib.sha256(np.array(ch.bases, dtype=np.int64).tobytes())
+    for orbit, n in zip(ch.orbits, ch.norbits):
+        h.update(orbit[:n].tobytes())
+    for gs in ch.genstacks:
+        h.update(gs.tobytes())
+    return h.hexdigest()
+
+
+def test_mlt_paige2_chain_digest(paige2):
+    """The block sift and the skipped tree edges leave the chain of the
+    row-by-row sift, byte for byte."""
+    ch = multiplication_group(paige2)._build()
+    assert _chain_digest(ch) == (
+        "76e2e449dfd224e75ec71ab0317bb13ac86123f23ee8407ed8f36bffaa0e6a28")
+
+
+@pytest.mark.parametrize("name", ["S6", "A6", "Mlt(M*(2))"])
+def test_blocks_of_one_row_give_the_same_chain(name, monkeypatch, paige2):
+    gens = {"S6": _s6, "A6": _a6,
+            "Mlt(M*(2))": lambda: multiplication_group(paige2).generators}
+    rows = []
+    sift = _kernels_py.sift_run
+
+    def counted(h, *rest):
+        rows.append(len(h) if h.ndim == 2 else 0)
+        return sift(h, *rest)
+
+    monkeypatch.setattr(_kernels_py, "sift_run", counted)
+    default = _chain_digest(PermGroup(gens[name]())._build())
+    assert max(rows) > 1
+    rows.clear()
+    monkeypatch.setattr(_kernels_py, "_BLOCK_CELLS", 1)
+    assert _chain_digest(PermGroup(gens[name]())._build()) == default
+    assert max(rows) == 1
+
+
+def test_sweep_hands_no_tree_edge_to_the_sift(monkeypatch, paige2):
+    """u_p s u_{s(p)}^{-1} is the identity when s(p) is labelled by s or p
+    by s^{-1}, and for an involution s it is the inverse of the generator
+    at s(p): the sweep builds none of the first kind, none of the second
+    whose partner comes first, and every other one."""
+    sweep = _kernels_py.sweep_gen
+    sift = _kernels_py.sift_run
+    swept = []      # (level, generator) of the open sweep
+    handed = []     # the points p of the rows u_p s it sifted
+    skipped = {"edge": 0, "mirror": 0}
+
+    def counted_sweep(lev, gi, startpos, bases, svs, genstacks, uinvs, poss,
+                      orbits, norbits):
+        swept.append((lev, gi))
+        handed.clear()
+        posi, residue = sweep(lev, gi, startpos, bases, svs, genstacks,
+                              uinvs, poss, orbits, norbits)
+        swept.pop()
+        s, sv, pos = genstacks[lev][2 * gi], svs[lev], poss[lev]
+        ps = orbits[lev][startpos:posi + (residue is not None)]
+        edge = (sv[s[ps]] == 2 * gi) | (sv[ps] == 2 * gi + 1)
+        mirror = ~edge & (pos[s[ps]] < pos[ps])
+        if not (s == genstacks[lev][2 * gi + 1]).all():
+            mirror[:] = False
+        skipped["edge"] += int(edge.sum())
+        skipped["mirror"] += int(mirror.sum())
+        assert not set(handed) & set(ps[edge | mirror].tolist())
+        assert set(ps[~(edge | mirror)].tolist()) <= set(handed)
+        return posi, residue
+
+    def counted_sift(h, start, bases, svs, genstacks, *rest):
+        if swept:
+            lev, gi = swept[-1]
+            # row u_p s maps the base to s(p)
+            sinv = genstacks[lev][2 * gi + 1]
+            handed.extend(sinv[h[:, bases[lev]]].tolist())
+        return sift(h, start, bases, svs, genstacks, *rest)
+
+    monkeypatch.setattr(_kernels_py, "sweep_gen", counted_sweep)
+    monkeypatch.setattr(_kernels_py, "sift_run", counted_sift)
+    assert multiplication_group(paige2).order == 174_182_400
+    assert skipped["edge"] > 0 and skipped["mirror"] > 0
+
+
 # -- kernels -----------------------------------------------------------------
 
 
@@ -392,6 +475,24 @@ def test_stabilizer_listing_walks_no_tree(monkeypatch, tri2):
     walks.clear()
     assert (sc.group.element_array().shape == (12_096, 120)
             and not walks)
+
+
+@pytest.mark.parametrize("name", ["S6", "A6", "Mlt(M*(2))"])
+def test_transversal_fill_inverts_the_tree_walks(name, paige2):
+    """Each row of a filled level, built a tree layer at a time, is the
+    inverse of the transversal element walked from the Schreier tree."""
+    gens = {"S6": _s6, "A6": _a6,
+            "Mlt(M*(2))": lambda: multiplication_group(paige2).generators}
+    ch = PermGroup(gens[name]())._build()
+    ident = np.arange(ch.d)
+    for l in range(ch.nlevels()):
+        rows = ch.norbits[l]
+        uinv = np.empty((rows, ch.d), dtype=np.int32)
+        _kernels_py.transversal_fill(ch.genstacks[l], ch.svs[l], ch.poss[l],
+                                     ch.orbits[l], rows, ch.bases[l], uinv)
+        for posi in range(rows):
+            u = ch.transversal_elem(l, posi)
+            assert (uinv[posi][u] == ident).all()
 
 
 def test_active_backend_reported():
