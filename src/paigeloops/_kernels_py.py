@@ -20,9 +20,10 @@ is composed with row pos[x_r] of uinv, x_r its image of the base, in one
 flat gather from uinv.ravel() at h[r] + pos[x_r] * d; at an uncached
 level each row walks the tree.  A row that sticks at a level, or ends
 reduced but not the identity, is the block's answer, and the rows after
-it are dropped.  Blocks start at a few rows and double up to
-_BLOCK_CELLS cells, so a block costs about 1 MiB and a run that stops
-early wastes little.  A single row is a block of one.
+it are dropped.  Every block but the last has _BLOCK_CELLS // d rows,
+so a block costs about 1 MiB.  A sweep stops early only at a residue,
+which happens a few dozen times a chain at most, so few rows are sifted
+in vain.  A single row is a block of one.
 
 Orbit positions are stable: orbit extension appends new points and never
 relabels old ones, so sweep cursors stay valid.  A fresh rebuild (used when
@@ -88,8 +89,10 @@ def orbit_update(gs, sv, dep, pos, orbit, norbit, base, fresh):
             new = ys[sv[ys] == -1]
             if len(new):
                 # each child has a unique parent under gs[er], so the label
-                # is unambiguous; np.unique only fixes the append order
-                new = np.unique(new)
+                # is unambiguous, and gs[er] is a bijection on distinct
+                # frontier points, so new holds no repeats; the sort only
+                # fixes the append order
+                new.sort()
                 sv[new] = er
                 dep[new] = dep[gs[er ^ 1][new]] + 1
                 app = new[pos[new] < 0]
@@ -112,18 +115,14 @@ def orbit_update(gs, sv, dep, pos, orbit, norbit, base, fresh):
 # Cells of one sift block: 60 rows at d = 1,080, where the block, its
 # int32 gather indices and numpy's intp copy of them come to about 1 MiB.
 _BLOCK_CELLS = 1 << 16
-_FIRST_ROWS = 4
 
 
 def _blocks(lo, hi, d):
-    """Consecutive ranges (a, b) covering lo..hi: _FIRST_ROWS rows first,
-    each next block twice the last, up to _BLOCK_CELLS // d rows."""
-    cap = max(1, _BLOCK_CELLS // d)
-    k = min(_FIRST_ROWS, cap)
-    while lo < hi:
-        yield lo, min(lo + k, hi)
-        lo += k
-        k = min(2 * k, cap)
+    """Consecutive ranges (a, b) covering lo..hi, each of
+    _BLOCK_CELLS // d rows (at least one) but the last."""
+    k = max(1, _BLOCK_CELLS // d)
+    for a in range(lo, hi, k):
+        yield a, min(a + k, hi)
 
 
 def transversal_fill(gs, sv, pos, orbit, norbit, base, uinv):

@@ -52,18 +52,21 @@ def g2_order(q):
     return q**6 * (q**6 - 1) * (q**2 - 1)
 
 
-# Table rows compared per step of the full check: a block at q = 4 holds
-# 256 x 16,320 cells (8 MiB in int16), and a map that breaks a product
-# stops at the first block holding it.
+# Table rows compared per step of the full check, at most _CHECK_ROWS
+# and _CHECK_CELLS cells: the flat indices of a block are int64, 8 MiB at
+# most, so a block is 256 rows at q = 3 and 64 at q = 4.  A map that
+# breaks a product stops at the first block holding it.
 _CHECK_ROWS = 256
+_CHECK_CELLS = 1 << 20
 
 
 def is_loop_automorphism(L, images):
     """Full check: a bijection phi on 0..n-1 with
     phi(T[a, b]) == T[phi(a), phi(b)] for all n^2 cells.
 
-    The cells are compared in the table's dtype, _CHECK_ROWS rows of the
-    table at a time, and the check stops at the first block holding a
+    Both sides are gathered in the table's dtype, a block of rows of the
+    table at a time, the right side from the flat table at
+    phi(a) n + phi(b); the check stops at the first block holding a
     broken product."""
     T = L.table
     n = len(L)
@@ -74,10 +77,13 @@ def is_loop_automorphism(L, images):
     seen[phi] = True
     if not seen.all():
         return False
-    phi = phi.astype(T.dtype)
-    for lo in range(0, n, _CHECK_ROWS):
-        rows = slice(lo, lo + _CHECK_ROWS)
-        if not (phi[T[rows]] == T[np.ix_(phi[rows], phi)]).all():
+    pt = phi.astype(T.dtype)
+    flat = T.ravel()
+    step = min(_CHECK_ROWS, max(1, _CHECK_CELLS // n))
+    for lo in range(0, n, step):
+        rows = slice(lo, lo + step)
+        if not (pt.take(T[rows])
+                == flat.take(phi[rows, None] * n + phi)).all():
             return False
     return True
 

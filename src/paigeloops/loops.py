@@ -328,20 +328,23 @@ class MoufangVerdict:
 def _moufang_sides(T, x, y, z):
     """Yield (idn, lhs, rhs) for identities 1..4 in turn at index arrays
     x, y, z, which broadcast against each other.  Each pair is gathered
-    when it is asked for; (x y)(z x), the left side of 3 and 4, once.
-    Products are gathered from the flat table, cheaper than 2-D fancy
-    indexing."""
+    when it is asked for, and x y, z x, y z and (x y)(z x), the left side
+    of 3 and 4, once each: 18 gathers for all four.  Products are
+    gathered from the flat table, cheaper than 2-D fancy indexing."""
     flat = T.ravel()
     n = T.shape[1]
 
     def m(a, b):
         return flat.take(np.asarray(a, np.intp) * n + b)
 
-    yield 1, m(m(m(x, y), x), z), m(x, m(y, m(x, z)))
-    yield 2, m(m(m(z, x), y), x), m(z, m(x, m(y, x)))
-    lhs = m(m(x, y), m(z, x))
-    yield 3, lhs, m(x, m(m(y, z), x))
-    yield 4, lhs, m(m(x, m(y, z)), x)
+    xy = m(x, y)
+    yield 1, m(m(xy, x), z), m(x, m(y, m(x, z)))
+    zx = m(z, x)
+    yield 2, m(m(zx, y), x), m(z, m(x, m(y, x)))
+    yz = m(y, z)
+    lhs = m(xy, zx)
+    yield 3, lhs, m(x, m(yz, x))
+    yield 4, lhs, m(m(x, yz), x)
 
 
 def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):

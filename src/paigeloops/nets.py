@@ -166,28 +166,28 @@ def is_collineation(net, p):
         s.reshape(n, n).T,                    # class 2
         s[(ar * n)[None, :] + LD.T],          # class 3: row c -> (x, x\c)
     )
+    # a point's id x n + y is its cell in the flat table, so the image
+    # line values per class are id // n, id % n and T.ravel()[id]
+    values = (lambda M: M // n, lambda M: M % n, T.ravel().take)
     action = []
     vmaps = []
     for cls, M in zip((1, 2, 3), mats):
-        I, J = np.divmod(M, n)
-        same_i = (I == I[:, :1]).all(axis=1)
-        same_j = (J == J[:, :1]).all(axis=1)
-        PR = T[I, J]
-        same_p = (PR == PR[:, :1]).all(axis=1)
-        if same_i.all():
-            action.append(1)
-            vmap = I[:, 0]
-        elif same_j.all():
-            action.append(2)
-            vmap = J[:, 0]
-        elif same_p.all():
-            action.append(3)
-            vmap = PR[:, 0]
+        # the classes are tried in turn until one holds every line
+        same = []
+        for a, value in enumerate(values, 1):
+            V = value(M)
+            same.append((V == V[:, :1]).all(axis=1))
+            if same[-1].all():
+                action.append(a)
+                vmap = V[:, 0]
+                break
         else:
-            bad = np.nonzero(~(same_i | same_j | same_p))[0]
+            bad = np.nonzero(~np.logical_or.reduce(same))[0]
             line = LineRef(cls, int(bad[0])) if len(bad) else LineRef(cls, 0)
             return CollineationVerdict(False, None, None, line)
-        if len(np.unique(vmap)) != n:
+        onto = np.zeros(n, dtype=bool)
+        onto[vmap] = True
+        if not onto.all():
             return CollineationVerdict(False, None, None, LineRef(cls, -1))
         vmaps.append(vmap.astype(np.int64))
     if sorted(action) != [1, 2, 3]:

@@ -22,12 +22,22 @@ Schreier tree is the identity by construction and is skipped, and so is,
 for an involution s, one whose inverse, the generator at s(p), was swept
 first; every other one is sifted once, in blocks of rows that give each
 row exactly the residue of its own sift, and a sweep stops at the first
-nontrivial residue in orbit-position order.  Input generators are sifted in blocks
-too: members are skipped, and the first non-member is installed before
-the rest are sifted.  Base points: level 0 uses the least point moved by
-any input generator (or a caller-forced point for stabilizer base
-changes); each deeper level uses the least point moved by the residue
-that created it.
+nontrivial residue in orbit-position order.  A chain built from inputs
+first installs two words, the product of the inputs at even positions
+and that of the inputs at odd positions, each in input order, and then
+sifts every input in blocks: members are skipped, and the first
+non-member is installed before the rest are sifted.  The answer stays
+exact: each word is a product of inputs, so it lies in <inputs>, and
+every input is still sifted and installed if it is not a member, so the
+chain's group is <inputs> whether or not the words generate it.  The
+words only make it likely that most inputs sift as members, which saves
+the Schreier generators each installed input would bring (the random
+subproduct idea of Babai, Cooperman, Finkelstein, Luks and Seress, JCSS
+50, 1995, made deterministic).  With one or two inputs the words are the
+inputs themselves, in order.  Base points: level 0 uses the least point
+moved by any input generator (or a caller-forced point for stabilizer
+base changes); each deeper level uses the least point moved by the
+residue that created it.
 """
 
 import numpy as np
@@ -174,6 +184,20 @@ class Permutation:
 def _lcm(a, b):
     import math
     return a // math.gcd(a, b) * b
+
+
+def _words(rows):
+    """The product of rows[0::2] and the product of rows[1::2], each
+    composed in input order, one composition per row; an empty product is
+    left out.  With one or two rows the words are the rows themselves."""
+    words = []
+    for part in (rows[0::2], rows[1::2]):
+        if len(part):
+            w = np.array(part[0], dtype=np.int32)
+            for r in part[1:]:
+                _kernels.compose_into(w, r, w)
+            words.append(w)
+    return words
 
 
 class _Chain:
@@ -326,8 +350,11 @@ class _Chain:
         return True
 
     def add_inputs(self, rows):
-        """add_input_generator for each of rows in turn, with the members
+        """Install the two words of rows (see _words), then
+        add_input_generator for each of rows in turn, with the members
         between two non-members skipped by block sifts."""
+        for w in _words(rows):
+            self.add_input_generator(w)
         i = self.first_nonmember(rows)
         while i < len(rows):
             self.add_input_generator(rows[i])
@@ -518,13 +545,18 @@ class PermGroup:
 
     # -- queries ----------------------------------------------------------
 
-    def orbit(self, pt):
-        """Orbit of pt under the input generators (sorted points)."""
-        if not 0 <= pt < self.degree:
+    def orbit(self, pts):
+        """Orbit of a point, or the union of the orbits of an array of
+        points, under the input generators (sorted points); one search
+        from all the points at once."""
+        pts = np.asarray(pts, dtype=np.int64)
+        if pts.size and not (0 <= pts.min() and pts.max() < self.degree):
             raise DomainError("point out of range")
         reached = np.zeros(self.degree, dtype=bool)
-        reached[pt] = True
-        frontier = np.array([pt], dtype=np.int32)
+        reached[pts] = True
+        # distinct points have distinct images under each generator, so
+        # no frontier holds a point twice
+        frontier = np.flatnonzero(reached)
         rows = [g.images for g in self.generators]
         while len(frontier):
             nxt = []
@@ -532,7 +564,6 @@ class PermGroup:
                 ys = row[frontier]
                 new = ys[~reached[ys]]
                 if len(new):
-                    new = np.unique(new)
                     reached[new] = True
                     nxt.append(new)
             frontier = np.concatenate(nxt) if nxt else frontier[:0]

@@ -94,7 +94,6 @@ def build_triality(net, origin=0):
 
     c = 3 * n
     origin_lines = net.point_lines(origin)
-    axes = []
     reflections = []
     covered = np.zeros(c + 3, dtype=bool)
     for line in origin_lines + tuple(l for l in net.lines()
@@ -110,11 +109,12 @@ def build_triality(net, origin=0):
         if v.direction_preserving:
             raise InternalError("reflection class action is not a "
                                 "transposition")
-        axes.append(axis)
         reflections.append(_line_permutation(v, n))
-        checked = PermGroup(reflections, degree=c + 3)
-        for a in axes:
-            covered[checked.orbit(a)] = True
+        # the old cover is a union of orbits of checked axes, so its
+        # orbits under the larger group are those of all checked axes
+        covered[axis] = True
+        covered[PermGroup(reflections, degree=c + 3).orbit(
+            np.flatnonzero(covered))] = True
 
     gamma0 = PermGroup(reflections, degree=c + 3,
                        base_hint=[c, c + 1, i0, n + j0])

@@ -12,7 +12,8 @@ from paigeloops import (DomainError, LimitError, PermGroup, Permutation,
 from paigeloops._backend import kernels as active_kernels
 from paigeloops import _kernels_py
 from paigeloops.config import MAX_PERM_DEGREE
-from paigeloops.triality import origin_stabilizer_automorphisms
+from paigeloops.triality import (build_triality,
+                                 origin_stabilizer_automorphisms)
 
 
 def P(*images):
@@ -228,6 +229,20 @@ def test_orbits():
     assert not g.is_transitive()
 
 
+@pytest.mark.parametrize("name", ["S6", "A6", "Gamma0"])
+def test_orbit_of_points_is_the_union_of_their_orbits(name, tri2):
+    G = {"S6": lambda: PermGroup(_s6()), "A6": lambda: PermGroup(_a6()),
+         "Gamma0": lambda: tri2().gamma0}[name]()
+    rng = np.random.default_rng(3)
+    for k in (1, 2, 5):
+        pts = rng.choice(G.degree, size=k, replace=False)
+        union = np.unique(np.concatenate([G.orbit(int(p)) for p in pts]))
+        assert (G.orbit(pts) == union).all()
+    assert (G.orbit(np.array([0])) == G.orbit(0)).all()
+    with pytest.raises(DomainError):
+        G.orbit([0, G.degree])
+
+
 def test_degree_limit():
     big = Permutation.identity(MAX_PERM_DEGREE + 1)
     with pytest.raises(LimitError):
@@ -303,8 +318,8 @@ def _built_chain(monkeypatch, gens):
 @pytest.mark.parametrize("name", ["S6", "A6", "Mlt(M*(2))"])
 def test_chain_levels(name, monkeypatch, paige2):
     """A generator installed at level m fixes bases[0..m-1] and lies in
-    the group generated at level m-1; level 0 holds the sifted inputs that
-    grew the group and nothing else."""
+    the group generated at level m-1; level 0 holds the sifted words and
+    inputs that grew the group and nothing else."""
     gens = {"S6": _s6, "A6": _a6,
             "Mlt(M*(2))": lambda: multiplication_group(paige2).generators}
     ch, grew = _built_chain(monkeypatch, gens[name]())
@@ -357,11 +372,76 @@ def _chain_digest(ch):
 
 
 def test_mlt_paige2_chain_digest(paige2):
-    """The block sift and the skipped tree edges leave the chain of the
-    row-by-row sift, byte for byte."""
+    """The chain of Mlt(M*(2)), byte for byte.  It starts from the two
+    words of its 240 inputs, so its generators differ from those of the
+    chain grown from the inputs alone (digest 76e2e449...); its bases and
+    basic orbits are the same."""
     ch = multiplication_group(paige2)._build()
     assert _chain_digest(ch) == (
-        "76e2e449dfd224e75ec71ab0317bb13ac86123f23ee8407ed8f36bffaa0e6a28")
+        "0f43d027fbae2595870e38ebaaab684418eb061171527585dd400d10adb9edf4")
+
+
+def _sigma_rho(tri2):
+    T = tri2()
+    return [T.sigma, T.rho]
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("<sigma, rho>",
+     "5eb766653d4ed79a1588d97f641f6565f37e7f4934d9bb2add41bfc092777dc0"),
+    ("S6", "08b26b103814c32e47cbaad944130105cd3aafd14c7e04f1e23f3eac2005b325"),
+    ("A6", "704e3bec7d1aaefc07267c8e9b3532fc3438704c33c283e277afdce43af4086e"),
+    ("C7", "c1b58247426f2020283da161ab15172a3d7c0854e0fb394d2f86864e8a7f3a8e"),
+])
+def test_one_or_two_inputs_are_their_own_words(name, digest, tri2):
+    """With one or two inputs the words are the inputs, in order, so the
+    chain is the one grown from the inputs alone (digests pinned before
+    the words were added)."""
+    gens = {"<sigma, rho>": lambda: _sigma_rho(tri2), "S6": _s6, "A6": _a6,
+            "C7": lambda: [Permutation.from_cycles(7, [tuple(range(7))])]}
+    rows = [g.images for g in gens[name]()]
+    words = perm._words(rows)
+    assert len(words) == len(rows)
+    assert all((w == r).all() for w, r in zip(words, rows))
+    assert _chain_digest(PermGroup(gens[name]())._build()) == digest
+
+
+@pytest.mark.parametrize("name", ["S6", "A6", "Mlt(M*(2))", "Gamma0"])
+def test_word_start_keeps_every_input_and_the_order(name, paige2, net2):
+    """The words are products of inputs, so they lie in the group, and
+    every input is still sifted afterwards: each one is a member, and the
+    order and basic orbits are those of the inputs alone."""
+    G, orbits = {
+        "S6": lambda: (PermGroup(_s6()), [6, 5, 4, 3, 2]),
+        "A6": lambda: (PermGroup(_a6()), [6, 5, 4, 3]),
+        "Mlt(M*(2))": lambda: (multiplication_group(paige2),
+                               [120, 63, 30, 12, 8, 4, 2]),
+        "Gamma0": lambda: (build_triality(net2).gamma0,
+                           [3, 2, 120, 120, 63, 24, 8])}[name]()
+    assert G.basic_orbit_sizes() == orbits
+    assert all(g in G for g in G.generators)
+    rows = [g.images for g in G.generators]
+    assert all(w in G for w in perm._words(rows))
+
+
+def test_word_start_sifts_fewer_rows(monkeypatch, paige2, net2):
+    """Started from the two words, most inputs sift as members: the chains
+    of Mlt(M*(2)) and Gamma0 at q = 2 sift 715 and 658 rows, where the
+    chains grown from the inputs alone sifted 994 and 1,077."""
+    counts = {"rows": 0, "calls": 0}
+    sift = _kernels_py.sift_run
+
+    def counted(h, *rest):
+        counts["rows"] += len(h) if h.ndim == 2 else 1
+        counts["calls"] += 1
+        return sift(h, *rest)
+
+    monkeypatch.setattr(_kernels_py, "sift_run", counted)
+    assert multiplication_group(paige2).order == 174_182_400
+    assert (counts["rows"], counts["calls"]) == (715, 42)
+    counts.update(rows=0, calls=0)
+    assert build_triality(net2).gamma0.order == 1_045_094_400
+    assert (counts["rows"], counts["calls"]) == (658, 47)
 
 
 @pytest.mark.parametrize("name", ["S6", "A6", "Mlt(M*(2))"])
@@ -524,3 +604,21 @@ def test_pure_python_backend_selectable_by_env():
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["py", "120", "24"]
+
+
+def test_stabilizer_route_imports_no_masked_arrays():
+    """A plain np.unique imports numpy.ma on its first call in a process
+    (numpy 2.4), 15-19 ms; the orbit searches, the chain and the
+    collineation check find sets by boolean masks and never call it."""
+    code = ("import sys\n"
+            "import paigeloops as P\n"
+            "L = P.paige_loop(2)\n"
+            "T = P.build_triality(P.net_from_loop(L))\n"
+            "print(P.origin_stabilizer_automorphisms(T).count)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code],
+                         env={"PATH": "/usr/bin",
+                              "PYTHONPATH": os.environ.get("PYTHONPATH", "")},
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["12096", "False"]

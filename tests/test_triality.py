@@ -234,6 +234,23 @@ def test_only_unreached_reflections_are_checked(net2, monkeypatch):
     assert T.orders() == (1_045_094_400, 174_182_400, 6)
 
 
+def test_one_orbit_search_per_checked_reflection(net2, monkeypatch):
+    """Seven reflections are checked at q = 2, and each one costs a
+    single search for the orbits of all checked axes."""
+    calls = counted_checks(monkeypatch)
+    searches = []
+    orbit = PermGroup.orbit
+
+    def counted(G, pts):
+        searches.append(pts)
+        return orbit(G, pts)
+
+    monkeypatch.setattr(PermGroup, "orbit", counted)
+    T = build_triality(net2)
+    assert len(calls) == len(searches) == 7
+    assert T.orders() == (1_045_094_400, 174_182_400, 6)
+
+
 def test_every_reflection_lies_in_gamma0(tri2, reflections2):
     # the skipped reflections too: each is a collineation (checked in the
     # fixture) and a member of the group the checked ones generate
@@ -245,7 +262,7 @@ def test_every_reflection_lies_in_gamma0(tri2, reflections2):
 def test_paige3_triality_by_default(paige3, monkeypatch):
     calls = counted_checks(monkeypatch)
     T = build_triality(net_from_loop(paige3()))
-    assert len(calls) <= 12
+    assert len(calls) == 6
     assert T.orders() == (29_713_078_886_400, 4_952_179_814_400, 6)
     assert T.gamma0.basic_orbit_sizes()[:4] == [3, 2, 1080, 1080]
     for entry in verify_triality_axioms(T, samples=100, seed=0):
