@@ -8,27 +8,24 @@ C-contiguous:
 - per chain level: a generator stack gs of shape (2m, d) whose row 2i is
   generator i at that level and row 2i+1 its inverse; a Schreier vector sv
   with sv[x] = -1 (unreached), -2 (root) or the gs row index er that mapped
-  the parent to x, so gs[er ^ 1] walks from x back toward the root; a depth
-  array dep (tree depth per reached point); pos mapping point -> stable
-  position in the append-only orbit array; the orbit array itself with
-  norbit valid entries; and an optional transversal-inverse cache uinv
-  where row pos[x] holds u_x^{-1} (u_x maps the base to x).
+  the parent to x, so gs[er ^ 1] steps from x back toward the root; pos
+  mapping point -> stable position in the append-only orbit array, or -1
+  for a point outside the orbit; the orbit array itself with norbit valid
+  entries; and the transversal-inverse cache uinv, whose row pos[x] holds
+  u_x^{-1} (u_x maps the base to x).
 
 Sifting works on blocks: a (b, d) int32 array whose rows are b
-permutations, reduced level by level together.  At a cached level, row r
-is composed with row pos[x_r] of uinv, x_r its image of the base, in one
-flat gather from uinv.ravel() at h[r] + pos[x_r] * d; at an uncached
-level each row walks the tree.  A row that sticks at a level, or ends
-reduced but not the identity, is the block's answer, and the rows after
-it are dropped.  Every block but the last has _BLOCK_CELLS // d rows,
-so a block costs about 1 MiB.  A sweep stops early only at a residue,
-which happens a few dozen times a chain at most, so few rows are sifted
-in vain.  A single row is a block of one.
+permutations, reduced level by level together.  At each level, row r is
+composed with row pos[x_r] of uinv, x_r its image of the base, in one
+flat gather from uinv.ravel() at h[r] + pos[x_r] * d.  A row that sticks
+at a level, or ends reduced but not the identity, is the block's answer,
+and the rows after it are dropped.  Every block but the last has
+_BLOCK_CELLS // d rows, so a block costs about 1 MiB.  A sweep stops
+early only at a residue, which happens a few dozen times a chain at
+most, so few rows are sifted in vain.  A single row is a block of one.
 
 Orbit positions are stable: orbit extension appends new points and never
-relabels old ones, so sweep cursors stay valid.  A fresh rebuild (used when
-the tree grows too deep) relabels the tree but keeps positions; the caller
-must then reset that level's sweep cursors.
+relabels old ones, so sweep cursors and cached rows stay valid.
 
 The Paige table fill works on the base-p digits of Zorn coordinates over
 GF(p^k): each row of the table is one GF(p)-linear map, the left
@@ -59,29 +56,17 @@ def invert(p):
     return out
 
 
-def is_identity(p):
-    return bool((p == np.arange(len(p), dtype=p.dtype)).all())
+def orbit_update(gs, sv, pos, orbit, norbit, base):
+    """Extend the orbit/tree of base under gs rows; returns the new norbit.
 
-
-def orbit_update(gs, sv, dep, pos, orbit, norbit, base, fresh):
-    """Extend (or rebuild, if fresh) the orbit/tree of base under gs rows.
-
-    Returns (new norbit, max tree depth).  Extension keeps every existing
-    label and appends newly reached points; rebuild relabels the whole tree
-    from scratch but keeps orbit positions.
+    Every existing label is kept and newly reached points are appended.
     """
-    if fresh or norbit == 0:
-        sv.fill(-1)
-        dep.fill(0)
+    if norbit == 0:
         sv[base] = -2
-        if pos[base] < 0:
-            pos[base] = norbit
-            orbit[norbit] = base
-            norbit += 1
-        frontier = np.array([base], dtype=np.int32)
-    else:
-        frontier = orbit[:norbit].copy()
-    maxdep = int(dep[orbit[:norbit]].max()) if norbit else 0
+        pos[base] = 0
+        orbit[0] = base
+        norbit = 1
+    frontier = orbit[:norbit].copy()
     while len(frontier):
         nxt = []
         for er in range(gs.shape[0]):
@@ -94,22 +79,13 @@ def orbit_update(gs, sv, dep, pos, orbit, norbit, base, fresh):
                 # fixes the append order
                 new.sort()
                 sv[new] = er
-                dep[new] = dep[gs[er ^ 1][new]] + 1
-                app = new[pos[new] < 0]
-                if len(app):
-                    pos[app] = np.arange(norbit, norbit + len(app),
-                                         dtype=np.int32)
-                    orbit[norbit:norbit + len(app)] = app
-                    norbit += len(app)
+                pos[new] = np.arange(norbit, norbit + len(new),
+                                     dtype=np.int32)
+                orbit[norbit:norbit + len(new)] = new
+                norbit += len(new)
                 nxt.append(new)
-        if nxt:
-            frontier = np.concatenate(nxt)
-            m = int(dep[frontier].max())
-            if m > maxdep:
-                maxdep = m
-        else:
-            frontier = frontier[:0]
-    return norbit, maxdep
+        frontier = np.concatenate(nxt) if nxt else frontier[:0]
+    return norbit
 
 
 # Cells of one sift block: 60 rows at d = 1,080, where the block, its
@@ -158,79 +134,38 @@ def transversal_fill(gs, sv, pos, orbit, norbit, base, uinv):
         todo = todo[~filled[todo]]
 
 
-def sift_run(h, start, bases, svs, genstacks, uinvs, poss):
-    """Reduce h in place through levels start..
+def sift_run(h, start, bases, uinvs, poss):
+    """Reduce the (b, d) block h in place through levels start..
 
-    h is one row or a (b, d) block of rows.  A row returns the level it
-    stuck at, or the number of levels if it reduced everywhere.  A block
-    returns (i, level) for its first row i that does not sift to the
+    Returns (i, level) for the first row i that does not sift to the
     identity, stuck at level or reduced everywhere (level = the number of
     levels) but not the identity; row i then holds exactly the residue of
     the row's own sift.  Rows after i are left partly reduced.  When every
     row sifts to the identity it returns (b, number of levels)."""
-    if h.ndim == 1:
-        return _sift_block(h[None], start, bases, svs, genstacks, uinvs,
-                           poss)[1]
-    return _sift_block(h, start, bases, svs, genstacks, uinvs, poss)
-
-
-def _sift_block(h, start, bases, svs, genstacks, uinvs, poss):
     nlev = len(bases)
     b, d = h.shape
     live = b                    # rows 0..live-1 are still being reduced
     stuck = (b, nlev)
     for lev in range(start, nlev):
-        base = bases[lev]
-        x = h[:live, base]
-        unreached = np.flatnonzero(svs[lev][x] == -1)
+        pos = poss[lev][h[:live, bases[lev]]]
+        unreached = np.flatnonzero(pos < 0)
         if len(unreached):
             # a stuck row is a residue; the rows after it cannot matter
             live = int(unreached[0])
             stuck = (live, lev)
-            x = x[:live]
+            pos = pos[:live]
         if not live:
             break
-        u = uinvs[lev]
-        if u is not None:
-            # row r becomes h[r] then u_x^{-1} (u_base^{-1} is the
-            # identity); a cache has under 2^31 cells, so the int32
-            # indices are in range and "clip" only skips the bounds check
-            idx = h[:live] + (poss[lev][x] * d)[:, None]
-            u.ravel().take(idx, out=h[:live], mode="clip")
-            continue
-        gs = genstacks[lev]
-        sv = svs[lev]
-        act = np.flatnonzero(x != base)
-        while len(act):
-            er = sv[h[act, base]]
-            h[act] = np.take_along_axis(gs[er ^ 1], h[act], axis=1)
-            act = act[h[act, base] != base]
+        # row r becomes h[r] then u_x^{-1} (u_base^{-1} is the identity);
+        # a cache has under 2^31 cells, so the int32 indices are in range
+        # and "clip" only skips the bounds check
+        idx = h[:live] + (pos * d)[:, None]
+        uinvs[lev].ravel().take(idx, out=h[:live], mode="clip")
     moved = np.flatnonzero(
         (h[:live] != np.arange(d, dtype=h.dtype)).any(axis=1))
     if len(moved):
         return int(moved[0]), nlev
     return stuck
-
-
-def _transversal_elem(lev, posi, bases, svs, genstacks, uinvs, poss, orbits):
-    """u_p for the orbit point at position posi (maps base -> p)."""
-    d = len(svs[lev])
-    u = uinvs[lev]
-    if u is not None:
-        return invert(u[posi])
-    gs = genstacks[lev]
-    sv = svs[lev]
-    x = int(orbits[lev][posi])
-    b = bases[lev]
-    path = []
-    while x != b:
-        er = int(sv[x])
-        path.append(er)
-        x = int(gs[er ^ 1][x])
-    t = np.arange(d, dtype=np.int32)
-    for er in reversed(path):
-        gs[er].take(t, out=t)
-    return t
 
 
 def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
@@ -248,11 +183,11 @@ def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
     - for an involution s, the generator at p is the inverse of the one
       at s(p), so when s(p) has the earlier position, that one has been
       swept before p is reached and found in that group, which only
-      grows (a rebuilt tree resets the cursors, so both are of one tree).
-    With the level's transversal cached, t = u_p s is scattered from the
-    cached u_p^{-1} without inverting it: t[u_p^{-1}(y)] = s(y).  Returns
-    (next position, None) when the run completes, or (failing position,
-    residue) at the first nontrivial residue.
+      grows.
+    t = u_p s is scattered from the cached u_p^{-1} without inverting it:
+    t[u_p^{-1}(y)] = s(y).  Returns (next position, None) when the run
+    completes, or (failing position, residue) at the first nontrivial
+    residue.
     """
     srow = genstacks[lev][2 * gi]
     d = len(srow)
@@ -272,18 +207,12 @@ def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
         k = len(keep)
         if not k:
             continue
+        # one flat scatter: t[r, u_p^{-1}(y)] = s(y) for row r of p
         t = np.empty((k, d), dtype=np.int32)
-        if u is not None:
-            # one flat scatter: t[r, u_p^{-1}(y)] = s(y) for row r of p
-            idx = u[keep]
-            idx += (np.arange(k, dtype=np.int32) * d)[:, None]
-            t.ravel()[idx] = np.broadcast_to(srow, (k, d))
-        else:
-            for r, posi in enumerate(keep):
-                t[r] = _transversal_elem(lev, posi, bases, svs, genstacks,
-                                         uinvs, poss, orbits)
-            srow.take(t, out=t)
-        i, _ = sift_run(t, lev, bases, svs, genstacks, uinvs, poss)
+        idx = u[keep]
+        idx += (np.arange(k, dtype=np.int32) * d)[:, None]
+        t.ravel()[idx] = np.broadcast_to(srow, (k, d))
+        i, _ = sift_run(t, lev, bases, uinvs, poss)
         if i < k:
             return int(keep[i]), t[i].copy()
     return nstop, None

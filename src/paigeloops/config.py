@@ -12,8 +12,10 @@ FIELD_MAX_Q = 25
 # Largest q for norm-one enumeration / two-unit decomposition (q^8 scan).
 NORM_ONE_MAX_Q = 9
 
-# Largest n x n table: a Cayley table, or a loop's division table
-# (q=4 fits, q=5 not).
+# Largest int32 table: an n x n Cayley or division table of a loop (q=4
+# fits, q=5 not), a group listing of order x degree cells, or a chain's
+# transversal cache of (sum of basic orbits) x degree cells (84.6 M at
+# Aut(M*(4))).
 MAX_TABLE_CELLS = 300_000_000
 
 # Largest permutation degree, and most points in a net that build_triality

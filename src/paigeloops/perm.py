@@ -14,30 +14,32 @@ residue of a Schreier generator of level l, stuck at level j > l, is
 installed at levels l+1..j only: it already lies in H^(l) and so in every
 H^(i) with i <= l, where it would add no element and no orbit point but
 |O_i| more Schreier generators, each sifting to the identity.  Orbits
-extend without relabeling existing points (so per-generator sweep cursors
-stay valid and each Schreier generator is swept exactly once), and a tree
-that grows too deep is rebuilt fresh at the cost of resetting that level's
-cursors.  A Schreier generator u_p s u_{s(p)}^{-1} on an edge of the
-Schreier tree is the identity by construction and is skipped, and so is,
-for an involution s, one whose inverse, the generator at s(p), was swept
-first; every other one is sifted once, in blocks of rows that give each
-row exactly the residue of its own sift, and a sweep stops at the first
-nontrivial residue in orbit-position order.  A chain built from inputs
-first installs two words, the product of the inputs at even positions
-and that of the inputs at odd positions, each in input order, and then
-sifts every input in blocks: members are skipped, and the first
-non-member is installed before the rest are sifted.  The answer stays
-exact: each word is a product of inputs, so it lies in <inputs>, and
-every input is still sifted and installed if it is not a member, so the
-chain's group is <inputs> whether or not the words generate it.  The
-words only make it likely that most inputs sift as members, which saves
-the Schreier generators each installed input would bring (the random
-subproduct idea of Babai, Cooperman, Finkelstein, Luks and Seress, JCSS
-50, 1995, made deterministic).  With one or two inputs the words are the
-inputs themselves, in order.  Base points: level 0 uses the least point
-moved by any input generator (or a caller-forced point for stabilizer
-base changes); each deeper level uses the least point moved by the
-residue that created it.
+extend without relabeling existing points, so per-generator sweep cursors
+stay valid and each Schreier generator is swept exactly once.  Every sift
+reads the transversal-inverse cache u_p^{-1}, filled a level at a time
+from the Schreier tree when that level's orbit has grown; a fill that
+would take the chain's cache past MAX_TABLE_CELLS raises LimitError
+before it allocates.  A Schreier generator u_p s u_{s(p)}^{-1} on an
+edge of the Schreier tree is the identity by construction and is
+skipped, and so is, for an involution s, one whose inverse, the
+generator at s(p), was swept first; every other one is sifted once, in
+blocks of rows that give each row exactly the residue of its own sift,
+and a sweep stops at the first nontrivial residue in orbit-position
+order.  A chain built from inputs first installs two words, the product
+of the inputs at even positions and that of the inputs at odd positions,
+each in input order, and then sifts every input in blocks: members are
+skipped, and the first non-member is installed before the rest are
+sifted.  The answer stays exact: each word is a product of inputs, so it
+lies in <inputs>, and every input is still sifted and installed if it is
+not a member, so the chain's group is <inputs> whether or not the words
+generate it.  The words only make it likely that most inputs sift as
+members, which saves the Schreier generators each installed input would
+bring (the random subproduct idea of Babai, Cooperman, Finkelstein, Luks
+and Seress, JCSS 50, 1995, made deterministic).  With one or two inputs
+the words are the inputs themselves, in order.  Base points: level 0 uses
+the least point moved by any input generator (or a caller-forced point
+for stabilizer base changes); each deeper level uses the least point
+moved by the residue that created it.
 """
 
 import numpy as np
@@ -45,10 +47,6 @@ import numpy as np
 from . import _kernels_py as _kernels
 from . import config
 from .errors import DomainError, InternalError, LimitError
-
-_DEPTH_LIMIT = 20
-_UINV_LEVEL_CAP = 220_000_000    # transversal-cache cells for one level
-_UINV_TOTAL_CAP = 340_000_000    # cells across all levels of one chain
 
 
 class Permutation:
@@ -208,14 +206,12 @@ class _Chain:
         self.bases = []
         self.genstacks = []
         self.svs = []
-        self.deps = []
         self.poss = []
         self.orbits = []
         self.norbits = []
         self.uinvs = []
         self.done = []
         self.complete = False
-        self._ucells = 0
 
     # -- structure -----------------------------------------------------
 
@@ -227,7 +223,6 @@ class _Chain:
         self.bases.append(int(base))
         self.genstacks.append(np.empty((0, d), dtype=np.int32))
         self.svs.append(np.full(d, -1, dtype=np.int32))
-        self.deps.append(np.zeros(d, dtype=np.int32))
         self.poss.append(np.full(d, -1, dtype=np.int32))
         self.orbits.append(np.empty(d, dtype=np.int32))
         self.norbits.append(0)
@@ -235,46 +230,39 @@ class _Chain:
         self.done.append([])
         self._extend_orbit(self.nlevels() - 1)
 
-    def _free_uinv(self, l):
-        if self.uinvs[l] is not None:
-            self._ucells -= self.uinvs[l].size
+    def _extend_orbit(self, l):
+        norbit = _kernels.orbit_update(
+            self.genstacks[l], self.svs[l], self.poss[l], self.orbits[l],
+            self.norbits[l], self.bases[l])
+        if norbit != self.norbits[l]:
+            self.norbits[l] = norbit
             self.uinvs[l] = None
 
-    def _extend_orbit(self, l):
-        old = self.norbits[l]
-        norbit, maxdep = _kernels.orbit_update(
-            self.genstacks[l], self.svs[l], self.deps[l], self.poss[l],
-            self.orbits[l], self.norbits[l], self.bases[l], 0)
-        rebuilt = False
-        if maxdep > _DEPTH_LIMIT and self.genstacks[l].shape[0] > 2:
-            norbit, maxdep = _kernels.orbit_update(
-                self.genstacks[l], self.svs[l], self.deps[l], self.poss[l],
-                self.orbits[l], norbit, self.bases[l], 1)
-            self.done[l] = [0] * (self.genstacks[l].shape[0] // 2)
-            rebuilt = True
-        self.norbits[l] = norbit
-        if rebuilt or norbit != old:
-            self._free_uinv(l)
-
-    def _ensure_uinv(self, l):
-        if self.uinvs[l] is not None:
-            return
-        rows = self.norbits[l]
-        cells = rows * self.d
-        if rows < 2 or cells > _UINV_LEVEL_CAP:
-            return
-        if self._ucells + cells > _UINV_TOTAL_CAP:
-            return
-        u = np.empty((rows, self.d), dtype=np.int32)
-        _kernels.transversal_fill(self.genstacks[l], self.svs[l],
-                                  self.poss[l], self.orbits[l], rows,
-                                  self.bases[l], u)
-        self.uinvs[l] = u
-        self._ucells += cells
+    def cache(self, start=0):
+        """The transversal-inverse caches, with levels start.. filled:
+        row pos[x] of uinvs[l] is u_x^{-1}.  Raises LimitError before
+        allocating a level that would take the chain's cache past
+        MAX_TABLE_CELLS cells."""
+        for l in range(start, self.nlevels()):
+            if self.uinvs[l] is not None:
+                continue
+            rows = self.norbits[l]
+            cells = rows * self.d + sum(u.size for u in self.uinvs
+                                        if u is not None)
+            if cells > config.MAX_TABLE_CELLS:
+                raise LimitError(
+                    f"the transversal cache of a chain of degree {self.d} "
+                    f"needs {cells} cells, over {config.MAX_TABLE_CELLS}",
+                    bound=config.MAX_TABLE_CELLS)
+            u = np.empty((rows, self.d), dtype=np.int32)
+            _kernels.transversal_fill(self.genstacks[l], self.svs[l],
+                                      self.poss[l], self.orbits[l], rows,
+                                      self.bases[l], u)
+            self.uinvs[l] = u
+        return self.uinvs
 
     def release_caches(self):
-        for l in range(self.nlevels()):
-            self._free_uinv(l)
+        self.uinvs = [None] * self.nlevels()
 
     # -- construction ---------------------------------------------------
 
@@ -303,8 +291,7 @@ class _Chain:
     def sweep_level(self, l):
         """Sweep all pending Schreier generators of level l; return the
         first nontrivial residue, or None when the level is finished."""
-        for m in range(l, self.nlevels()):
-            self._ensure_uinv(m)
+        self.cache(l)
         while True:
             progressed = False
             for gi in range(len(self.done[l])):
@@ -336,15 +323,14 @@ class _Chain:
     def add_input_generator(self, images):
         """Sift one input generator; extend the chain unless it is already
         a member.  Returns True if the group grew."""
-        h = np.array(images, dtype=np.int32, copy=True)
-        stuck = _kernels.sift_run(h, 0, self.bases, self.svs,
-                                  self.genstacks, self.uinvs, self.poss)
-        if stuck == self.nlevels() and _kernels.is_identity(h):
+        h = np.array(images, dtype=np.int32)[None]
+        i, j = _kernels.sift_run(h, 0, self.bases, self.cache(), self.poss)
+        if i:
             return False
+        h = h[0]
         if self.nlevels() == 0:
             moved = np.nonzero(h != np.arange(self.d, dtype=np.int32))[0]
             self.add_level(int(moved[0]))
-        j = self._stuck_level(h)
         self.insert_gen(h, j)
         self.complete_build()
         return True
@@ -365,10 +351,10 @@ class _Chain:
     def first_nonmember(self, rows, start=0):
         """Index of the first of rows[start:] outside the group, or
         len(rows).  Copies of the rows are sifted in blocks."""
+        uinvs = self.cache()
         for lo, hi in _kernels._blocks(start, len(rows), self.d):
             h = np.array(rows[lo:hi], dtype=np.int32)
-            i, _ = _kernels.sift_run(h, 0, self.bases, self.svs,
-                                     self.genstacks, self.uinvs, self.poss)
+            i, _ = _kernels.sift_run(h, 0, self.bases, uinvs, self.poss)
             if i < len(h):
                 return lo + i
         return len(rows)
@@ -380,16 +366,11 @@ class _Chain:
         return out
 
     def is_member(self, images):
-        h = np.array(images, dtype=np.int32, copy=True)
-        stuck = _kernels.sift_run(h, 0, self.bases, self.svs,
-                                  self.genstacks, self.uinvs, self.poss)
-        return stuck == self.nlevels() and _kernels.is_identity(h)
+        return self.first_nonmember([images]) == 1
 
     def transversal_elem(self, l, posi):
         """u: bases[l] -> orbit point at position posi, as an image array."""
-        return _kernels._transversal_elem(l, posi, self.bases, self.svs,
-                                          self.genstacks, self.uinvs,
-                                          self.poss, self.orbits)
+        return _kernels.invert(self.cache(l)[l][posi])
 
     def random_element(self, rng):
         t = None
@@ -408,9 +389,9 @@ class _Chain:
         (Holt, Eick and O'Brien, 4.4).  Row i is u_{L-1} * ... * u_0 (left
         factor applied first), each u_l running over level l's transversal
         in orbit-position order, the deepest level slowest and level 0
-        fastest.  Each level's transversal is one matrix, filled from the
-        Schreier tree and inverted by one scatter, and the rows so far, E,
-        are composed with it in one gather, new[i, j] = U_l[j][E[i]],
+        fastest.  Each level's transversal is one matrix, the level's
+        cache inverted by one scatter, and the rows so far, E, are
+        composed with it in one gather, new[i, j] = U_l[j][E[i]],
         deepest level first.  Raises LimitError before allocating when
         order * d exceeds MAX_TABLE_CELLS."""
         d = self.d
@@ -421,12 +402,8 @@ class _Chain:
                 f"{order * d} cells, over {config.MAX_TABLE_CELLS}",
                 bound=config.MAX_TABLE_CELLS)
         E = np.arange(d, dtype=np.int32)[None]
-        for l in range(self.nlevels() - 1, -1, -1):
-            rows = self.norbits[l]
-            uinv = np.empty((rows, d), dtype=np.int32)
-            _kernels.transversal_fill(self.genstacks[l], self.svs[l],
-                                      self.poss[l], self.orbits[l], rows,
-                                      self.bases[l], uinv)
+        for uinv in reversed(self.cache()):
+            rows = len(uinv)
             # ut is U_l transposed, ut[uinv[j, k], j] = k, so ut[E[i]]
             # holds U_l[j][E[i]] for every j
             ut = np.empty((d, rows), dtype=np.int32)
@@ -443,7 +420,6 @@ class _Chain:
         t.bases = self.bases[1:]
         t.genstacks = self.genstacks[1:]
         t.svs = self.svs[1:]
-        t.deps = self.deps[1:]
         t.poss = self.poss[1:]
         t.orbits = self.orbits[1:]
         t.norbits = self.norbits[1:]

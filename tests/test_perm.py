@@ -12,8 +12,7 @@ from paigeloops import (DomainError, LimitError, PermGroup, Permutation,
 from paigeloops._backend import kernels as active_kernels
 from paigeloops import _kernels_py
 from paigeloops.config import MAX_PERM_DEGREE
-from paigeloops.triality import (build_triality,
-                                 origin_stabilizer_automorphisms)
+from paigeloops.triality import build_triality
 
 
 def P(*images):
@@ -303,11 +302,10 @@ def _built_chain(monkeypatch, gens):
     add = perm._Chain.add_input_generator
 
     def recording(ch, images):
-        h = np.array(images, dtype=np.int32)
-        _kernels_py.sift_run(h, 0, ch.bases, ch.svs, ch.genstacks, ch.uinvs,
-                             ch.poss)
+        h = np.array(images, dtype=np.int32)[None]
+        _kernels_py.sift_run(h, 0, ch.bases, ch.cache(), ch.poss)
         if add(ch, images):
-            grew.append(h)
+            grew.append(h[0])
             return True
         return False
 
@@ -332,11 +330,9 @@ def test_chain_levels(name, monkeypatch, paige2):
         gs = ch.genstacks[m]
         assert gs.shape[0] > 0
         assert (gs[:, ch.bases[:m]] == ch.bases[:m]).all()
-        for g in gs[::2]:
-            h = g.copy()
-            stop = _kernels_py.sift_run(h, m - 1, ch.bases, ch.svs,
-                                        ch.genstacks, ch.uinvs, ch.poss)
-            assert stop == ch.nlevels() and _kernels_py.is_identity(h)
+        h = gs[::2].copy()
+        assert _kernels_py.sift_run(h, m - 1, ch.bases, ch.cache(),
+                                    ch.poss) == (len(h), ch.nlevels())
     if name == "A6":
         assert not ch.is_member(Permutation.from_cycles(6, [(0, 1)]).images)
 
@@ -471,13 +467,13 @@ def test_sweep_hands_no_tree_edge_to_the_sift(monkeypatch, paige2):
     whose partner comes first, and every other one."""
     sweep = _kernels_py.sweep_gen
     sift = _kernels_py.sift_run
-    swept = []      # (level, generator) of the open sweep
+    swept = []      # (level, generator, stack) of the open sweep
     handed = []     # the points p of the rows u_p s it sifted
     skipped = {"edge": 0, "mirror": 0}
 
     def counted_sweep(lev, gi, startpos, bases, svs, genstacks, uinvs, poss,
                       orbits, norbits):
-        swept.append((lev, gi))
+        swept.append((lev, gi, genstacks[lev]))
         handed.clear()
         posi, residue = sweep(lev, gi, startpos, bases, svs, genstacks,
                               uinvs, poss, orbits, norbits)
@@ -494,13 +490,13 @@ def test_sweep_hands_no_tree_edge_to_the_sift(monkeypatch, paige2):
         assert set(ps[~(edge | mirror)].tolist()) <= set(handed)
         return posi, residue
 
-    def counted_sift(h, start, bases, svs, genstacks, *rest):
+    def counted_sift(h, start, bases, *rest):
         if swept:
-            lev, gi = swept[-1]
+            lev, gi, gs = swept[-1]
             # row u_p s maps the base to s(p)
-            sinv = genstacks[lev][2 * gi + 1]
+            sinv = gs[2 * gi + 1]
             handed.extend(sinv[h[:, bases[lev]]].tolist())
-        return sift(h, start, bases, svs, genstacks, *rest)
+        return sift(h, start, bases, *rest)
 
     monkeypatch.setattr(_kernels_py, "sweep_gen", counted_sweep)
     monkeypatch.setattr(_kernels_py, "sift_run", counted_sift)
@@ -511,68 +507,106 @@ def test_sweep_hands_no_tree_edge_to_the_sift(monkeypatch, paige2):
 # -- kernels -----------------------------------------------------------------
 
 
-def test_sweep_with_and_without_transversal_cache(monkeypatch, paige2):
-    """The numpy sweep scatters u_p s from a cached u_p^{-1} or walks the
-    Schreier tree; both give the same chain."""
-    walks = []
-    walk = _kernels_py._transversal_elem
-
-    def counted(*args):
-        walks.append(1)
-        return walk(*args)
-
-    def chain():
-        walks.clear()
-        G = multiplication_group(paige2)
-        return G.order, G.base(), G.basic_orbit_sizes()
-
-    monkeypatch.setattr(_kernels_py, "_transversal_elem", counted)
-    cached = chain()
-    assert not walks
-    monkeypatch.setattr(perm, "_UINV_LEVEL_CAP", 0)
-    assert chain() == cached
-    assert walks
-    assert cached[0] == 174_182_400
-
-
-def test_stabilizer_listing_walks_no_tree(monkeypatch, tri2):
-    """The 12,096 maps come from transversal matrices, not from one
-    Schreier-tree walk per element and level."""
-    T = tri2()
-    walks = []
-    walk = _kernels_py._transversal_elem
-
-    def counted(*args):
-        walks.append(1)
-        return walk(*args)
-
-    monkeypatch.setattr(_kernels_py, "_transversal_elem", counted)
-    sc = origin_stabilizer_automorphisms(T)
-    assert sc.count == 12_096
-    # only the alpha chain build walks, on a new level whose one-point
-    # orbit is not cached
-    assert len(walks) < 10
-    walks.clear()
-    assert (sc.group.element_array().shape == (12_096, 120)
-            and not walks)
-
-
 @pytest.mark.parametrize("name", ["S6", "A6", "Mlt(M*(2))"])
 def test_transversal_fill_inverts_the_tree_walks(name, paige2):
     """Each row of a filled level, built a tree layer at a time, is the
-    inverse of the transversal element walked from the Schreier tree."""
+    inverse of the transversal element walked from the Schreier tree: the
+    edge labels from the point back to the base, applied from the base
+    out."""
     gens = {"S6": _s6, "A6": _a6,
             "Mlt(M*(2))": lambda: multiplication_group(paige2).generators}
     ch = PermGroup(gens[name]())._build()
     ident = np.arange(ch.d)
     for l in range(ch.nlevels()):
+        gs, sv, base = ch.genstacks[l], ch.svs[l], ch.bases[l]
         rows = ch.norbits[l]
         uinv = np.empty((rows, ch.d), dtype=np.int32)
-        _kernels_py.transversal_fill(ch.genstacks[l], ch.svs[l], ch.poss[l],
-                                     ch.orbits[l], rows, ch.bases[l], uinv)
+        _kernels_py.transversal_fill(gs, sv, ch.poss[l], ch.orbits[l], rows,
+                                     base, uinv)
         for posi in range(rows):
-            u = ch.transversal_elem(l, posi)
+            x = int(ch.orbits[l][posi])
+            path = []
+            while x != base:
+                path.append(int(sv[x]))
+                x = int(gs[sv[x] ^ 1][x])
+            u = ident
+            for er in reversed(path):
+                u = gs[er][u]
+            assert u[base] == ch.orbits[l][posi]
             assert (uinv[posi][u] == ident).all()
+            assert (ch.transversal_elem(l, posi) == u).all()
+
+
+def _tree_depth(ch, l):
+    """Deepest point of level l's Schreier tree, walked edge by edge."""
+    gs, sv, base = ch.genstacks[l], ch.svs[l], ch.bases[l]
+    deepest = 0
+    for x in ch.orbits[l][:ch.norbits[l]]:
+        depth = 0
+        while x != base:
+            x = gs[sv[x] ^ 1][x]
+            depth += 1
+        deepest = max(deepest, depth)
+    return deepest
+
+
+def _rotation(n, k):
+    return (np.arange(n) + k) % n
+
+
+def test_schreier_trees_deeper_than_twenty():
+    """Trees that once were rebuilt past depth 20 sift through the cache
+    like any other: <(0 1 ... 100)> (depth 50), and the dihedral group of
+    the 300-gon from r^6, r^10, r^15 and a reflection, whose level-0
+    orbit grows from 50 to 150 to 300 points under a tree already 25
+    deep."""
+    cyc = PermGroup([Permutation.from_cycles(101, [tuple(range(101))])])
+    ch = perm._Chain(300)
+    ch.add_level(0)
+    grown = []
+    for row in (_rotation(300, 6), _rotation(300, 10), _rotation(300, 15),
+                -np.arange(300) % 300):
+        assert ch.add_input_generator(row)
+        grown.append(ch.norbits[0])
+    assert grown == [50, 150, 300, 300]
+    ch.release_caches()
+    dih = PermGroup([], degree=300, _chain=ch)
+    assert _tree_depth(cyc._build(), 0) == 50
+    assert _tree_depth(ch, 0) > 25
+    for G, order in ((cyc, 101), (dih, 600)):
+        assert G.order == order
+        rows = G.element_array()
+        assert len(np.unique(rows, axis=0)) == order
+        assert all(row in G for row in rows)
+        assert Permutation.from_cycles(G.degree, [(0, 1)]) not in G
+        assert all(p in G for p in G.random_elements(20, seed=2))
+
+
+def test_chain_cache_refuses_before_it_allocates(monkeypatch, paige2):
+    """The transversal cache of Mlt(M*(2)) ends at 239 rows of 120 cells,
+    one per point of its basic orbits.  One cell fewer and the build
+    raises LimitError at the fill that would pass the bound, having made
+    every fill before it; at the exact bound it builds."""
+    gens = multiplication_group(paige2).generators
+    fills = []
+    fill = _kernels_py.transversal_fill
+
+    def counted(*args):
+        fills.append(args[-1].shape)
+        return fill(*args)
+
+    monkeypatch.setattr(_kernels_py, "transversal_fill", counted)
+    monkeypatch.setattr(perm.config, "MAX_TABLE_CELLS", 239 * 120 - 1)
+    with pytest.raises(LimitError) as err:
+        PermGroup(gens)._build()
+    assert err.value.bound == 239 * 120 - 1
+    refused = list(fills)
+    fills.clear()
+    monkeypatch.setattr(perm.config, "MAX_TABLE_CELLS", 239 * 120)
+    G = PermGroup(gens)
+    assert G.order == 174_182_400
+    assert sum(G.basic_orbit_sizes()) == 239
+    assert refused == fills[:-1]
 
 
 def test_active_backend_reported():
