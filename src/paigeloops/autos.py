@@ -6,17 +6,17 @@ conjugation by octonion units.  The backtracking search keeps one map
 per new orbit point of a greedy generating sequence and refutes every
 other candidate image, so it returns generators of the whole group, and
 |Aut| is the product of its orbit sizes; it never lists the group.  It
-has no size cap of its own: it allocates no n x n table beyond the one
-it is given, whose size the table-cell bound covered, so it runs at
-q = 2, 3 and 4.  Every map returned by any of them is
-validated as a loop automorphism directly by is_loop_automorphism, the
-package's one automorphism validator (the triality correspondence uses
-it too); nothing is trusted on the strength of a theorem.  The
-conjugation scan applies each unit's map as an 8x8 matrix over GF(p),
-built with oct_mul (the Zorn product is bilinear, so the map is
-linear).  It rejects a unit only on a witness cell T[a, b] that its map
-breaks, and accepts a map either by the full n^2 check or as a member of
-the group generated by maps that passed it.
+computes a candidate's map with straight-line programs recorded once
+per loop, and it forms products in blocks of at most _CHECK_CELLS cells,
+so it allocates no n x n array beside the table and runs at q = 2, 3
+and 4.  Every map returned by any of them is validated directly by
+is_loop_automorphism, the package's one automorphism validator (the
+triality correspondence uses it too); nothing is trusted on the
+strength of a theorem.  The conjugation scan applies each unit's map as
+an 8x8 matrix over GF(p), built with oct_mul (the Zorn product is
+bilinear, so the map is linear).  It rejects a unit only on a witness
+cell T[a, b] that its map breaks, and accepts a map either by the full
+n^2 check or as a member of the group generated by maps that passed it.
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,6 @@ from .loops import (
     element_order,
     paige_loop,
     paige_representatives,
-    subloop_closure,
 )
 from .perm import Permutation, PermGroup, _Chain
 from .zorn import oct_conj, oct_mul, oct_norm
@@ -52,40 +51,44 @@ def g2_order(q):
     return q**6 * (q**6 - 1) * (q**2 - 1)
 
 
-# Table rows compared per step of the full check, at most _CHECK_ROWS
-# and _CHECK_CELLS cells: the flat indices of a block are int64, 8 MiB at
-# most, so a block is 256 rows at q = 3 and 64 at q = 4.  A map that
-# breaks a product stops at the first block holding it.
+# Rows per block of a product check, at most _CHECK_ROWS and _CHECK_CELLS
+# cells (the search's closures use the cell bound too): a block's flat
+# indices are int64, 8 MiB at most, so the full check takes 256 rows a
+# block at q = 3 and 64 at q = 4.
 _CHECK_ROWS = 256
 _CHECK_CELLS = 1 << 20
 
 
-def is_loop_automorphism(L, images):
-    """Full check: a bijection phi on 0..n-1 with
-    phi(T[a, b]) == T[phi(a), phi(b)] for all n^2 cells.
-
-    Both sides are gathered in the table's dtype, a block of rows of the
-    table at a time, the right side from the flat table at
-    phi(a) n + phi(b); the check stops at the first block holding a
-    broken product."""
-    T = L.table
-    n = len(L)
-    phi = np.asarray(images, dtype=np.int64).reshape(-1)
-    if len(phi) != n or phi.min() < 0 or phi.max() >= n:
-        return False
+def _embeds(T, phi, S=None):
+    """Whether phi is injective on S, a sorted index array (0..n-1 if
+    None), and phi(T[a, b]) == T[phi(a), phi(b)] for all a, b in S; both
+    sides are gathered in the table's dtype, a block of rows at a time,
+    up to the first block holding a broken product."""
+    n = len(T)
+    flat = T.ravel()
+    fs = phi if S is None else phi[S]
     seen = np.zeros(n, dtype=bool)
-    seen[phi] = True
-    if not seen.all():
+    seen[fs] = True
+    if np.count_nonzero(seen) < len(fs):
         return False
     pt = phi.astype(T.dtype)
-    flat = T.ravel()
-    step = min(_CHECK_ROWS, max(1, _CHECK_CELLS // n))
-    for lo in range(0, n, step):
-        rows = slice(lo, lo + step)
-        if not (pt.take(T[rows])
-                == flat.take(phi[rows, None] * n + phi)).all():
+    step = min(_CHECK_ROWS, max(1, _CHECK_CELLS // len(fs)))
+    for lo in range(0, len(fs), step):
+        ab = (T[lo:lo + step] if S is None
+              else flat.take(S[lo:lo + step, None] * n + S))
+        if not (pt.take(ab)
+                == flat.take(fs[lo:lo + step, None] * n + fs)).all():
             return False
     return True
+
+
+def is_loop_automorphism(L, images):
+    """Full check: a bijection phi on 0..n-1 with
+    phi(T[a, b]) == T[phi(a), phi(b)] for all n^2 cells."""
+    phi = np.asarray(images, dtype=np.int64).reshape(-1)
+    if len(phi) != len(L) or phi.min() < 0 or phi.max() >= len(L):
+        return False
+    return _embeds(L.table, phi)
 
 
 @dataclass(frozen=True)
@@ -107,110 +110,109 @@ class LoopAutomorphism:
 
 def _greedy_generators(L, orders):
     """g0, g1, ...: each the first element of largest order outside the
-    subloop generated by the ones before it."""
-    gens = []
-    inside = subloop_closure(L, gens)
-    while len(inside) < len(L):
-        outside = orders.copy()
-        outside[inside] = 0
-        gens.append(int(np.argmax(outside)))
-        inside = subloop_closure(L, gens)
-    return gens
-
-
-def _propagate(T, phi, pinv, known, queue):
-    """Extend a partial automorphism by closing products of known points.
-
-    phi/pinv are mutated in place; returns False on any conflict (value
-    clash or injectivity failure).  When the queued points generate the
-    loop, success leaves phi a total map checked on every pair.
-    """
-    while queue:
-        x = queue.pop()
-        ka = np.array(known, dtype=np.int64)
-        fx = phi[x]
-        P = np.concatenate((T[x, ka], T[ka, x], T[x, x][None]))
-        V = np.concatenate((T[fx, phi[ka]], T[phi[ka], fx], T[fx, fx][None]))
-        cur = phi[P]
-        if ((cur != -1) & (cur != V)).any():
-            return False
-        fresh = np.flatnonzero(cur == -1)
-        for i in fresh:
-            t, v = int(P[i]), int(V[i])
-            if phi[t] == -1:
-                if pinv[v] != -1:
-                    return False
-                phi[t] = v
-                pinv[v] = t
-                queue.append(t)
-            elif phi[t] != v:
-                return False
-        known.append(x)
-    return True
+    subloop S_(l-1) the ones before it generate; with the subloops
+    [{e}, S_0, S_1, ...] as sorted index arrays, and per level l the
+    straight-line program that closes S_(l-1) + gl to S_l under the
+    product (enough, see subloop_closure).  It is a list of rounds
+    (x, a, b) of index arrays, x = a b, where a and b were reached before
+    the round, one of them in the round before, and each x is new."""
+    n = len(L)
+    flat = L.table.ravel()
+    mask = np.zeros(n, dtype=bool)
+    mask[0] = True
+    gens, subloops, programs = [], [np.zeros(1, dtype=np.int64)], []
+    while not mask.all():
+        g = int(np.argmax(np.where(mask, 0, orders)))
+        gens.append(g)
+        mask[g] = True
+        old, new = subloops[-1], np.array([g])
+        rounds = []
+        while len(new) and not mask.all():
+            ix = np.flatnonzero(mask)
+            got = []
+            for A, B in ((new, ix), (old, new)):
+                step = max(1, _CHECK_CELLS // len(B))
+                for lo in range(0, len(A), step):
+                    a = A[lo:lo + step]
+                    ab = flat.take((a[:, None] * n + B).ravel())
+                    pos = np.flatnonzero(~mask[ab])
+                    x, first = np.unique(ab[pos], return_index=True)
+                    i, j = np.divmod(pos[first], len(B))
+                    mask[x] = True
+                    got.append((x.astype(np.int64), a[i], B[j]))
+            x, a, b = (np.concatenate(c) for c in zip(*got))
+            if len(x):
+                rounds.append((x, a, b))
+            old, new = ix, x
+        programs.append(rounds)
+        subloops.append(np.flatnonzero(mask))
+    return gens, subloops, programs
 
 
 def aut_backtrack(L):
     """The automorphism group of L by exhaustive search, as generators.
 
-    A map is fixed by its images of a greedy generating sequence g0, g1,
-    ... and is closed from them by _propagate.  Candidate images pass one
-    filter: element order, and the orders of products with the assigned
-    generators.  Levels are searched deepest first.  At level l, with
-    g0..g(l-1) fixed, each candidate c outside the orbit of g(l) under
-    the maps found so far either yields one automorphism with g(l) -> c,
-    found by extending over the deeper generators, or is refuted by
-    exhausting every extension.  Each orbit is then complete, |Aut| is
-    the product of the orbit sizes, and the group generated by the maps
-    found, each passed by is_loop_automorphism, must have that order.
+    A map is fixed by its images of the greedy generators g0, g1, ....
+    Candidate images of gl must match its element order and the orders
+    of its products with the assigned generators; the level's program
+    then gives the map on S_l = <g0..gl>, refuted if it is not injective
+    there or breaks a product there.  That is exact: an automorphism
+    agreeing with it on g0..gl agrees with the program on S_l.  The last
+    S_l is L, where the check is is_loop_automorphism, so each map
+    returned is fully checked once.  Levels are searched deepest first:
+    at level l, with g0..g(l-1) fixed, each candidate outside the orbit
+    of gl under the maps found so far yields one automorphism, extended
+    over the deeper generators, or is refuted by exhausting them.  Each
+    orbit is then complete, and |Aut|, the product of their sizes, must
+    be the order of the group the maps found generate.
     """
     n = len(L)
     T = L.table
+    flat = T.ravel()
     orders = np.array([element_order(L, x) for x in range(n)])
-    gens = _greedy_generators(L, orders)
+    gens, subloops, programs = _greedy_generators(L, orders)
+    last = len(gens) - 1
 
-    def candidates(i, state):
-        phi, pinv, _ = state
+    def candidates(i, phi):
         g = gens[i]
-        cands = np.flatnonzero((orders == orders[g]) & (pinv == -1))
+        free = np.ones(n, dtype=bool)
+        free[phi[phi >= 0]] = False
+        cands = np.flatnonzero((orders == orders[g]) & free)
         for h in gens[:i]:
             fh = phi[h]
             cands = cands[orders[T[fh, cands]] == orders[T[h, g]]]
             cands = cands[orders[T[cands, fh]] == orders[T[g, h]]]
         return cands
 
-    def search(i, c, state):
-        """A total map extending state with gens[i] -> c, or None."""
-        phi, pinv, known = (x.copy() for x in state)
+    def search(i, c, phi):
+        """An automorphism extending phi, which is defined on S_(i-1),
+        with gi -> c, or None."""
+        phi = phi.copy()
         phi[gens[i]] = c
-        pinv[c] = gens[i]
-        if not _propagate(T, phi, pinv, known, [gens[i]]):
-            return None
-        if i + 1 == len(gens):
-            return phi
-        for d in candidates(i + 1, (phi, pinv, known)):
-            full = search(i + 1, d, (phi, pinv, known))
-            if full is not None:
-                return full
+        for x, a, b in programs[i]:
+            phi[x] = flat.take(phi[a] * n + phi[b])
+        if i == last:
+            return phi if is_loop_automorphism(L, phi) else None
+        if _embeds(T, phi, subloops[i + 1]):
+            for d in candidates(i + 1, phi):
+                full = search(i + 1, d, phi)
+                if full is not None:
+                    return full
         return None
 
     found = []
     order = 1
     for l in reversed(range(len(gens))):
         phi = np.full(n, -1, dtype=np.int64)
-        phi[[0] + gens[:l]] = [0] + gens[:l]
-        state = (phi, phi.copy(), [0])
-        _propagate(T, *state, gens[:l])
+        phi[subloops[l]] = subloops[l]
         orbit = np.zeros(n, dtype=bool)
         orbit[PermGroup(found, degree=n).orbit(gens[l])] = True
-        for c in candidates(l, state):
+        for c in candidates(l, phi):
             if orbit[c]:
                 continue
-            full = search(l, c, state)
+            full = search(l, c, phi)
             if full is None:
                 continue
-            if not is_loop_automorphism(L, full):
-                raise InternalError("backtracking produced a "
-                                    "non-automorphism")
             found.append(Permutation(full, _checked=True))
             orbit[PermGroup(found, degree=n).orbit(gens[l])] = True
         order *= int(np.count_nonzero(orbit))

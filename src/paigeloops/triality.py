@@ -201,11 +201,11 @@ def verify_triality_axioms(T, samples=1000, seed=0):
 @dataclass(frozen=True)
 class StabilizerCorrespondence:
     """The origin stabilizer read as loop automorphisms: the group of the
-    alphas, and all its elements, listed by group.element_array() and
-    sorted by row."""
+    alphas, and all its elements, in the order group.element_array()
+    lists them."""
 
     group: PermGroup              # the automorphisms alpha, acting on L
-    alphas: np.ndarray            # (m, n) image arrays, sorted lexicographically
+    alphas: np.ndarray            # (m, n) image arrays, one per element
 
     @property
     def count(self):
@@ -223,11 +223,10 @@ def origin_stabilizer_automorphisms(T):
     is_loop_automorphism, the package's one automorphism validator.  The
     elements passing both checks form a subgroup, so checking the
     generators covers the whole stabilizer.  Returns the group of the
-    alphas with all its elements as image arrays: one
-    PermGroup.element_array() listing, sorted by one argsort of its rows.
-    The listing raises LimitError before it allocates when it would have
-    more than MAX_TABLE_CELLS cells, as at q = 3 (4,245,696 maps of 1,080
-    points)."""
+    alphas with all its elements as image arrays, in the order of one
+    PermGroup.element_array() listing.  The listing raises LimitError
+    before it allocates when it would have more than MAX_TABLE_CELLS
+    cells, as at q = 3 (4,245,696 maps of 1,080 points)."""
     net = T.net
     n = net.n
     if T.origin != 0:
@@ -256,12 +255,8 @@ def origin_stabilizer_automorphisms(T):
     group = PermGroup(gens, degree=n)
     if group.order != stab.order:
         raise InternalError("alpha group order mismatch")
-    arr = group.element_array()
-    # images are nonnegative, so a row's big-endian bytes compare as its
-    # entries do
-    key = arr.astype(">i4").view(np.dtype((np.void, 4 * n))).ravel()
-    arr = arr[np.argsort(key)]
-    return StabilizerCorrespondence(group=group, alphas=arr)
+    return StabilizerCorrespondence(group=group,
+                                    alphas=group.element_array())
 
 
 def induced_automorphism_check(T, alpha):

@@ -79,6 +79,16 @@ def test_loop_automorphism_wrapper(s3):
     assert a(3) == 3
 
 
+def c2_5():
+    return loop_from_table([[a ^ b for b in range(32)] for a in range(32)])
+
+
+def s3_s3(s3):
+    t = s3.table
+    return loop_from_table([[6 * t[a // 6, b // 6] + t[a % 6, b % 6]
+                             for b in range(36)] for a in range(36)])
+
+
 def test_aut_of_small_groups(s3, c4, klein):
     assert aut_backtrack(s3).order == 6
     assert aut_backtrack(c4).order == 2
@@ -87,14 +97,59 @@ def test_aut_of_small_groups(s3, c4, klein):
     one = loop_from_table([[0]])
     assert aut_backtrack(one).order == 1
     # C2^5 needs five generators; Aut(C2^5) = GL(5, 2)
-    c2_5 = loop_from_table([[a ^ b for b in range(32)] for a in range(32)])
-    assert aut_backtrack(c2_5).order == 9999360
+    assert aut_backtrack(c2_5()).order == 9999360
     # Aut(S3 x S3) = (S3 x S3) : C2; here a candidate image whose first
     # extension over the deeper generators fails has a later one
-    t = s3.table
-    s3_s3 = loop_from_table([[6 * t[a // 6, b // 6] + t[a % 6, b % 6]
-                              for b in range(36)] for a in range(36)])
-    assert aut_backtrack(s3_s3).order == 72
+    assert aut_backtrack(s3_s3(s3)).order == 72
+
+
+# A loop of order 7 where 1 (1 1) = 1 2 = 6: a round must multiply the
+# points of the rounds before by the new ones, or <1> stops at {0, 1, 2}.
+RAGGED7 = [[0, 1, 2, 3, 4, 5, 6], [1, 2, 6, 5, 3, 4, 0],
+           [2, 0, 1, 6, 5, 3, 4], [3, 6, 4, 2, 0, 1, 5],
+           [4, 5, 0, 1, 2, 6, 3], [5, 4, 3, 0, 6, 2, 1],
+           [6, 3, 5, 4, 1, 0, 2]]
+
+
+def test_programs_reach_each_subloop(monkeypatch, s3, paige2):
+    """Each round multiplies points known before it, adds only new
+    points, and the rounds of level l end at <g0..gl>, with blocks of
+    the default size and of two cells."""
+    for cells in (autos._CHECK_CELLS, 2):
+        monkeypatch.setattr(autos, "_CHECK_CELLS", cells)
+        for L in (c2_5(), s3_s3(s3), paige2, loop_from_table(RAGGED7)):
+            T = L.table
+            orders = np.array([loops.element_order(L, x)
+                               for x in range(len(L))])
+            gens, subloops, programs = autos._greedy_generators(L, orders)
+            assert len(subloops) == len(programs) + 1 == len(gens) + 1
+            assert subloops[-1].tolist() == list(range(len(L)))
+            for l, rounds in enumerate(programs):
+                known = np.zeros(len(L), dtype=bool)
+                known[subloops[l]] = known[gens[l]] = True
+                for x, a, b in rounds:
+                    assert known[a].all() and known[b].all()
+                    assert not known[x].any() and len(np.unique(x)) == len(x)
+                    assert (T[a, b] == x).all()
+                    known[x] = True
+                assert np.array_equal(np.flatnonzero(known), subloops[l + 1])
+                assert np.array_equal(subloops[l + 1], loops.subloop_closure(
+                    L, gens[:l + 1]))
+
+
+def test_search_in_small_blocks(monkeypatch, s3, paige2):
+    """Closure rounds split across blocks of a few cells, and product
+    checks of one row per block that stop at the first bad one, give the
+    same group: the same order and each side's generators in the other."""
+    for L in (c2_5(), s3_s3(s3), paige2):
+        want = aut_backtrack(L)
+        with monkeypatch.context() as m:
+            m.setattr(autos, "_CHECK_CELLS", 3)
+            m.setattr(autos, "_CHECK_ROWS", 1)
+            got = aut_backtrack(L)
+        assert got.order == want.order
+        assert all(p in want for p in got.generators)
+        assert all(p in got for p in want.generators)
 
 
 def test_aut_elements_are_automorphisms(s3):
@@ -143,6 +198,15 @@ def test_aut_paige3_matches_conjugation(paige3):
     c = conjugation_autos(field(3), L)
     assert all(p in c for p in g.generators)
     assert all(p in g for p in c.generators)
+
+
+@pytest.mark.slow
+def test_aut_paige4_is_g2_by_frobenius(paige4):
+    """The paper's theorem at the first q with a nontrivial Aut(F):
+    |Aut(M*(4))| = 2 |G2(4)|, and the field Frobenius lies in it."""
+    g = aut_backtrack(paige4())
+    assert g.order == 2 * g2_order(4)
+    assert frobenius_on_paige(4).perm in g
 
 
 def test_aut_paige2_is_not_simple(aut2):

@@ -221,9 +221,10 @@ def test_paige_triality_smoke(tri2, paige2):
     assert sc.count == sc.group.order
     for alpha in sc.alphas[:3]:
         assert is_loop_automorphism(paige2, alpha)
-    # the parent tree's 12,096 sorted maps, byte for byte
+    # the 12,096 maps, sorted by row here, byte for byte
     assert sc.alphas.shape == (12096, 120) and sc.alphas.dtype == np.int32
-    assert hashlib.sha256(sc.alphas.tobytes()).hexdigest() == (
+    rows = sc.alphas[np.lexsort(sc.alphas.T[::-1])]
+    assert hashlib.sha256(rows.tobytes()).hexdigest() == (
         "487f5438c1e542e5ddf24f432514d778eb6d781cfc09e6080719a9ae5a07f743")
 
 
