@@ -224,9 +224,9 @@ def _field_digits(F):
     return np.arange(F.q)[:, None] // F.p ** np.arange(F.k) % F.p
 
 
-# Float32 entries of one block's products (8 MiB): the rows of a block
-# times n columns times 8k digits.
-_FILL_ENTRIES = 1 << 21
+# Float32 entries of one block's products (1 MiB): the rows of a block
+# times n columns times 8k digits, 30 rows at q = 3 and 1 row at q = 4.
+_FILL_ENTRIES = 1 << 18
 
 
 def paige_table(F, reps, addr, out):
@@ -240,6 +240,8 @@ def paige_table(F, reps, addr, out):
     r holds the digits of x * e_r for the r-th digit basis octonion e_r.
     One oct_mul per block of rows builds the block's matrices, and row i
     is the keys of (R @ L_x) mod p for R the n x 8k digit matrix of reps.
+    A block holds at most _FILL_ENTRIES products (at least one row), so
+    the fill's scratch arrays stay near 1 MiB each whatever q is.
 
     The arithmetic is float32 and exact: an entry of R @ L_x is an integer
     of at most 8k (p - 1)^2, so its quotient by p is correctly rounded

@@ -23,7 +23,9 @@ from .perm import PermGroup, Permutation
 from .zorn import (norm_one_array, norm_one_count_formula, oct_canonical,
                    oct_neg)
 
-_LATIN_CHUNK = 2048
+# table cells the Latin check sorts at once: the whole table up to q = 3,
+# 128 rows of it at q = 4
+_LATIN_CELLS = 1 << 21
 _DIV_ROWS = 256
 _SAMPLE_BLOCK = 65_536      # sampled Moufang triples gathered at once
 
@@ -31,12 +33,14 @@ _SAMPLE_BLOCK = 65_536      # sampled Moufang triples gathered at once
 def _check_latin(table):
     n = table.shape[0]
     want = np.arange(n, dtype=table.dtype)
-    for lo in range(0, n, _LATIN_CHUNK):
-        hi = min(lo + _LATIN_CHUNK, n)
+    step = max(1, _LATIN_CELLS // n)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
         if not (np.sort(table[lo:hi], axis=1) == want).all():
             raise NotLatinError("a row is not a permutation of 0..n-1")
         block = np.ascontiguousarray(table[:, lo:hi].T)
-        if not (np.sort(block, axis=1) == want).all():
+        block.sort(axis=1)
+        if not (block == want).all():
             raise NotLatinError("a column is not a permutation of 0..n-1")
 
 
@@ -347,6 +351,17 @@ def _moufang_sides(T, x, y, z):
     yield 4, lhs, m(m(x, yz), x)
 
 
+def _draw_samples(rng, n, count, dtype):
+    """rng.integers(0, n, size=count), drawn _SAMPLE_BLOCK at a time and
+    kept in dtype.  Below 2^32 each draw takes the bit generator's own
+    buffered 32-bit outputs, so the blocks join up to the single draw."""
+    out = np.empty(count, dtype)
+    for i0 in range(0, count, _SAMPLE_BLOCK):
+        out[i0:i0 + _SAMPLE_BLOCK] = rng.integers(
+            0, n, size=min(_SAMPLE_BLOCK, count - i0))
+    return out
+
+
 def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
     """Check the four Moufang identities:
 
@@ -358,7 +373,9 @@ def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
     full mode sweeps every triple and reports the lexicographically least
     counterexample as (identity_id, x, y, z); sample mode draws n_samples
     triples from a seeded generator and reports the first failing sample
-    of the first failing identity.
+    of the first failing identity.  The samples are the x, y and z of
+    three rng.integers(0, n, size=n_samples) draws in turn, kept in the
+    table's dtype.
     """
     # entries are only ever used as indices, so the table dtype is kept;
     # upcasting would quadruple the footprint at q = 4
@@ -386,9 +403,8 @@ def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
         return MoufangVerdict(True, None, 4 * n**3, "full")
     if mode == "sample":
         rng = np.random.default_rng(seed)
-        xs = rng.integers(0, n, size=n_samples)
-        ys = rng.integers(0, n, size=n_samples)
-        zs = rng.integers(0, n, size=n_samples)
+        xs, ys, zs = [_draw_samples(rng, n, n_samples, T.dtype)
+                      for _ in range(3)]
         # blocks in sample order; once an identity fails, later blocks
         # check only the identities before it
         found = None

@@ -391,9 +391,12 @@ class _Chain:
         in orbit-position order, the deepest level slowest and level 0
         fastest.  Each level's transversal is one matrix, the level's
         cache inverted by one scatter, and the rows so far, E, are
-        composed with it in one gather, new[i, j] = U_l[j][E[i]],
-        deepest level first.  Raises LimitError before allocating when
-        order * d exceeds MAX_TABLE_CELLS."""
+        composed with it into the level's preallocated output,
+        new[i * rows + j] = U_l[j][E[i]], deepest level first, one gather
+        per block of rows of E, sized as the sift's blocks.  Besides the
+        output, a level holds only E, 1/rows of it, and one block, so
+        LimitError, raised before allocating when order * d exceeds
+        MAX_TABLE_CELLS, bounds the whole listing's memory."""
         d = self.d
         order = self.order()
         if order * d > config.MAX_TABLE_CELLS:
@@ -409,9 +412,11 @@ class _Chain:
             ut = np.empty((d, rows), dtype=np.int32)
             ut[uinv, np.arange(rows)[:, None]] = np.arange(
                 d, dtype=np.int32)
-            E = ut[E].transpose(0, 2, 1).reshape(-1, d)
-        # from one level, the reshape is a transposed view
-        return np.ascontiguousarray(E)
+            out = np.empty((len(E), rows, d), dtype=np.int32)
+            for a, b in _kernels._blocks(0, len(E), rows * d):
+                out[a:b] = ut[E[a:b]].transpose(0, 2, 1)
+            E = out.reshape(-1, d)
+        return E
 
     def tail(self):
         """The chain for levels 1.. (the stabilizer of bases[0]); shares
@@ -589,8 +594,9 @@ class PermGroup:
 
     def element_array(self):
         """All elements as one (order, degree) int32 array of image rows,
-        in the chain's deterministic order; raises LimitError when it
-        would have more than MAX_TABLE_CELLS cells."""
+        in the chain's deterministic order, composed block by block into
+        the output; raises LimitError when it would have more than
+        MAX_TABLE_CELLS cells, which bounds the listing's memory."""
         return self._build().element_array()
 
     def elements(self):

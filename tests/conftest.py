@@ -10,6 +10,7 @@ holder records nothing beyond the value.
 import itertools
 import os
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,28 @@ def bfs_closure_count(gens, cap=100_000):
 @pytest.fixture(scope="session")
 def bfs_order():
     return bfs_closure_count
+
+
+def traced_peak_mib(fn):
+    """The most memory, in MiB, that fn() holds at once above what was
+    allocated before it started, as tracemalloc traces it (numpy reports
+    its array buffers there); the result of fn counts while it lives."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - before) / 2**20
+    finally:
+        if started:
+            tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    return traced_peak_mib
 
 
 def group_table(elems, op):

@@ -231,6 +231,36 @@ def test_moufang_sample_blocks_keep_the_first_failure(loop5, monkeypatch):
     assert later_wins
 
 
+def test_moufang_sample_draws_keep_their_triples(paige3, monkeypatch):
+    """The blocks handed to _moufang_sides join up to the three single
+    int64 draws, in the table's dtype, over an uneven last block."""
+    L = paige3()
+    n_samples = 3 * loops._SAMPLE_BLOCK + 17
+    seen = []
+    sides = loops._moufang_sides
+
+    def recorded(T, x, y, z):
+        seen.append((x.copy(), y.copy(), z.copy()))
+        return sides(T, x, y, z)
+
+    monkeypatch.setattr(loops, "_moufang_sides", recorded)
+    assert check_moufang(L, mode="sample", n_samples=n_samples, seed=11)
+    assert [len(b[0]) for b in seen] == [loops._SAMPLE_BLOCK] * 3 + [17]
+    rng = np.random.default_rng(11)
+    for k in range(3):
+        got = np.concatenate([b[k] for b in seen])
+        assert got.dtype == L.table.dtype
+        want = rng.integers(0, L.n, size=n_samples)
+        assert want.dtype == np.int64 and (got == want).all()
+
+
+def test_sampled_moufang_transients_stay_small(paige3, traced_peak):
+    """10^6 triples of M*(3) in int16 (5.7 MiB) and one block's gathers;
+    three int64 draws alone would take 22.9 MiB."""
+    L = paige3()
+    assert traced_peak(lambda: check_moufang(L, mode="sample")) < 10
+
+
 def test_moufang_full_mode_bounded(paige3):
     with pytest.raises(LimitError):
         check_moufang(paige3(), mode="full")
@@ -468,6 +498,20 @@ def test_missing_product_raises(monkeypatch):
     monkeypatch.setattr(loops, "_address_book", holed)
     with pytest.raises(InternalError):
         loops._build_table(F, reps)
+
+
+def test_fill_transients_stay_near_a_block(traced_peak):
+    """The M*(3) fill allocates its table and a few ~1 MiB blocks."""
+    F = field(3)
+    reps = paige_representatives(3)
+    addr = loops._address_book(F, reps)
+    n = len(reps)
+
+    def fill():
+        out = np.empty((n, n), dtype=np.int16)
+        assert _kernels_py.paige_table(F, reps, addr, out) == 0
+
+    assert traced_peak(fill) < n * n * 2 / 2**20 + 4
 
 
 def test_fill_over_gf4_matches_zorn_products():

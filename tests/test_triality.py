@@ -228,6 +228,15 @@ def test_paige_triality_smoke(tri2, paige2):
         "487f5438c1e542e5ddf24f432514d778eb6d781cfc09e6080719a9ae5a07f743")
 
 
+def test_stabilizer_listing_holds_little_beyond_its_rows(tri2,
+                                                         traced_peak):
+    """Listing the 12,096 x 120 stabilizer (5.5 MiB) takes no second copy
+    of its rows; the chain's caches are filled by the first listing."""
+    group = origin_stabilizer_automorphisms(tri2()).group
+    out_mib = group.order * group.degree * 4 / 2**20
+    assert traced_peak(group.element_array) < 1.2 * out_mib
+
+
 def test_only_unreached_reflections_are_checked(net2, monkeypatch):
     calls = counted_checks(monkeypatch)
     T = build_triality(net2)
