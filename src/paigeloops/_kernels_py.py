@@ -27,15 +27,17 @@ most, so few rows are sifted in vain.  A single row is a block of one.
 Orbit positions are stable: orbit extension appends new points and never
 relabels old ones, so sweep cursors and cached rows stay valid.
 
-The Paige table fill works on the base-p digits of Zorn coordinates over
-GF(p^k): each row of the table is one GF(p)-linear map, the left
-multiplication by that row's representative, applied to all
-representatives at once as a float32 matrix product of small integers
-(exact), reduced mod p and looked up by base-q key.
+Every GF(p)-linear map of the split octonions over GF(p^k) reaches a
+loop through one kernel, _linear_images: the map is its 8k x 8k matrix
+on base-p digits (_digit_matrices), applied to many octonions at once as
+an exact float32 product, reduced mod p and looked up by base-q key.
+The Paige table's rows (left multiplications) are such maps, and so are
+the unit conjugations and the Frobenius of autos.
 """
 
 import numpy as np
 
+from .errors import InternalError
 from .zorn import oct_mul
 
 
@@ -224,53 +226,72 @@ def _field_digits(F):
     return np.arange(F.q)[:, None] // F.p ** np.arange(F.k) % F.p
 
 
-# Float32 entries of one block's products (1 MiB): the rows of a block
-# times n columns times 8k digits, 30 rows at q = 3 and 1 row at q = 4.
+# Float32 entries of one block's products (1 MiB): the maps of a block
+# times the columns times 8k digits, 30 maps of M*(3) and 1 of M*(4).
 _FILL_ENTRIES = 1 << 18
 
 
-def paige_table(F, reps, addr, out):
-    """Fill out[i, j] = addr[key of reps[i] * reps[j]].  Returns 0, or -1
-    if a product key is missing from addr.
-
-    Over q = p^k each coordinate is k base-p digits, so an octonion is a
-    vector of 8k digits over GF(p), and its base-q key is the base-p
-    number of those digits.  The Zorn product is GF(p)-bilinear in them,
-    so left multiplication by x is an 8k x 8k matrix L_x over GF(p): row
-    r holds the digits of x * e_r for the r-th digit basis octonion e_r.
-    One oct_mul per block of rows builds the block's matrices, and row i
-    is the keys of (R @ L_x) mod p for R the n x 8k digit matrix of reps.
-    A block holds at most _FILL_ENTRIES products (at least one row), so
-    the fill's scratch arrays stay near 1 MiB each whatever q is.
-
-    The arithmetic is float32 and exact: an entry of R @ L_x is an integer
-    of at most 8k (p - 1)^2, so its quotient by p is correctly rounded
-    and floors to the integer quotient, and the keys, below q^8, are
-    summed in float32 up to q = 8 and in float64 above."""
-    p, k = F.p, F.k
-    n, m = reps.shape[0], 8 * k
-    digits = _field_digits(F)
+def _digit_matrices(F, f):
+    """The (b, 8k, 8k) int8 stack of the GF(p) matrices of b GF(p)-linear
+    maps of octonions over GF(p^k): f takes the (8k, 8) digit basis and
+    returns its (b, 8k, 8) images, or (8k, 8) for one map.  An octonion
+    is 8k base-p digits, k per coordinate; basis row r has digit r equal
+    to 1, and row r of a matrix M holds the digits of its image, so x
+    maps to x @ M."""
+    m = 8 * F.k
     basis = (np.eye(8, dtype=np.int16)[:, None]
-             * p ** np.arange(k, dtype=np.int16)[:, None]).reshape(m, 8)
+             * F.p ** np.arange(F.k, dtype=np.int16)[:, None]).reshape(m, 8)
+    return _field_digits(F).astype(np.int8)[f(basis)].reshape(-1, m, m)
+
+
+def _linear_images(F, mats, X, addr, out=None):
+    """out[i, j] = addr[key of X[j] @ mats[i]], the loop index of Zorn
+    matrix X[j] under map i of a _digit_matrices stack, with out made in
+    addr's dtype if not given; returns out, or raises InternalError when
+    an image's key (the base-p number of its digits) is not in addr.
+
+    A block holds at most _FILL_ENTRIES products (at least one map), so
+    the scratch arrays stay near 1 MiB each whatever q is.  The float32
+    arithmetic is exact: a digit of X[j] @ mats[i] before reduction is an
+    integer of at most 8k (p - 1)^2, so its quotient by p is correctly
+    rounded and floors to the integer quotient, and the keys, below q^8,
+    are summed in float32 up to q = 8 and in float64 above."""
+    p, k = F.p, F.k
+    n, m = len(X), 8 * k
+    if out is None:
+        out = np.empty((len(mats), n), dtype=addr.dtype)
     weights = (F.q ** np.arange(7, -1, -1)[:, None]
                * p ** np.arange(k)).ravel()
     weights = weights.astype(np.float32 if F.q ** 8 <= 1 << 24
                              else np.float64)
-    R = digits[reps].reshape(n, m).astype(np.float32)
-    block = max(1, min(n, _FILL_ENTRIES // (n * m)))
-    for i0 in range(0, n, block):
-        X = reps[i0:i0 + block]
-        b = len(X)
-        Lx = digits[oct_mul(F, X[:, None], basis[None])].reshape(b, m, m)
-        # P[j, (x, d)] is digit d of x * reps[j] before reduction mod p
-        P = R @ Lx.transpose(1, 0, 2).reshape(m, b * m).astype(np.float32)
+    R = _field_digits(F).astype(np.float32).take(X, axis=0).reshape(n, m)
+    block = max(1, min(len(mats), _FILL_ENTRIES // (n * m)))
+    for i0 in range(0, len(mats), block):
+        M = mats[i0:i0 + block]
+        b = len(M)
+        # P[j, (i, d)] is digit d of X[j] @ M[i] before reduction mod p
+        P = R @ M.transpose(1, 0, 2).reshape(m, b * m).astype(np.float32)
         Q = P / p
         np.floor(Q, out=Q)
         Q *= p
         P -= Q
-        keys = (P.reshape(n * b, m) @ weights).astype(np.int32)
+        keys = (P.reshape(n * b, m) @ weights).astype(np.intp)
         vals = addr[keys].reshape(n, b)
         if (vals < 0).any():
-            return -1
+            raise InternalError("an image fell outside the element list")
         out[i0:i0 + b] = vals.T
-    return 0
+    return out
+
+
+def paige_table(F, reps, addr, out):
+    """Fill out[i, j] = addr[key of reps[i] * reps[j]] and return out.
+    The Zorn product is GF(p)-bilinear, so row i is the images of reps
+    under left multiplication by reps[i]; the stack of those maps is
+    built one oct_mul per block of at most _FILL_ENTRIES coordinates."""
+    n, m = len(reps), 8 * F.k
+    Ls = np.empty((n, m, m), dtype=np.int8)
+    step = _FILL_ENTRIES // (8 * m)
+    for i0 in range(0, n, step):
+        X = reps[i0:i0 + step, None]
+        Ls[i0:i0 + step] = _digit_matrices(F, lambda B: oct_mul(F, X, B))
+    return _linear_images(F, Ls, reps, addr, out)

@@ -12,22 +12,23 @@ so it allocates no n x n array beside the table and runs at q = 2, 3
 and 4.  Every map returned by any of them is validated directly by
 is_loop_automorphism, the package's one automorphism validator (the
 triality correspondence uses it too); nothing is trusted on the
-strength of a theorem.  The conjugation scan applies each unit's map as
-an 8x8 matrix over GF(p), built with oct_mul (the Zorn product is
-bilinear, so the map is linear).  It rejects a unit only on a witness
-cell T[a, b] that its map breaks, and accepts a map either by the full
-n^2 check or as a member of the group generated by maps that passed it.
+strength of a theorem.  The Frobenius and the conjugations by units are
+GF(p)-linear maps of the algebra, so each is applied as its digit matrix
+by the table fill's kernel, _kernels_py._linear_images.  The conjugation
+scan rejects a unit only on a witness cell T[a, b] that its map breaks,
+and accepts a map either by the full n^2 check or as a member of the
+group generated by maps that passed it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels_py import _digit_matrices, _linear_images
 from .errors import DomainError, InternalError, LimitError
 from .gf import _factor_prime_power, field
 from .loops import (
     _address_book,
-    _rep_address,
     element_order,
     paige_loop,
     paige_representatives,
@@ -229,17 +230,16 @@ def aut_backtrack(L):
 def frobenius_on_paige(q):
     """The map of M*(q) induced by the field Frobenius x -> x^p applied
     entrywise to canonical Zorn representatives, checked on all n^2
-    products.  An image is looked up in the address book of +-x keys, so
-    it needs no canonical form."""
+    products.  Its GF(p)-linear images are looked up in the address book
+    of +-x keys, so they need no canonical form."""
     p, k = _factor_prime_power(q)
     if q > 9:
         raise DomainError("supported up to q = 9")
     F = field(q)
     L = paige_loop(q)    # the table-cell bound refuses q >= 5 before the scan
     reps = paige_representatives(q)
-    images = _address_book(F, reps)[_rep_address(q, F.frob_table[reps])]
-    if images.min() < 0:
-        raise InternalError("Frobenius image left the representative set")
+    images = _linear_images(F, _digit_matrices(F, lambda B: F.frob_table[B]),
+                            reps, _address_book(F, reps))[0]
     if not is_loop_automorphism(L, images):
         raise InternalError("Frobenius map failed the automorphism check")
     perm = Permutation(images, _checked=True)
@@ -264,8 +264,7 @@ def _conjugation_setup(F):
     One unit per scalar class: u and c*u induce the same conjugation, so
     only the Zorn matrices of nonzero norm whose first nonzero coordinate
     is 1 are kept.  The Zorn product is bilinear, so x -> (u x) u^{-1} is
-    linear; row i of a unit's 8x8 matrix is the image of the i-th basis
-    vector, computed with oct_mul, and x maps to x @ M.  addr maps the
+    GF(p)-linear, with its digit matrix built by oct_mul.  addr maps the
     base-q key of x or -x to the loop index of the class {x, -x}."""
     q = F.q
     grid = np.indices((q,) * 8).reshape(8, -1).T.astype(np.int16)
@@ -273,34 +272,10 @@ def _conjugation_setup(F):
     units = grid[(lead == 1) & (oct_norm(F, grid) != 0)]
     inv_norms = F.inv_table[oct_norm(F, units)]
     uinvs = F.mul_table[inv_norms[:, None], oct_conj(F, units)]
-    basis = np.eye(8, dtype=np.int16)
-    mats = oct_mul(F, oct_mul(F, units[:, None], basis[None]),
-                   uinvs[:, None])
+    mats = _digit_matrices(F, lambda B: oct_mul(
+        F, oct_mul(F, units[:, None], B), uinvs[:, None]))
     reps = paige_representatives(q)
     return mats, reps, _address_book(F, reps)
-
-
-def _images(F, mats, X, addr):
-    """Loop index of x @ M for each conjugation matrix M (rows) and each
-    Zorn representative x in X (columns).
-
-    The scan runs over prime fields only, whose elements are the integers
-    0..p-1, and the arithmetic is float32 and exact, as in
-    _kernels_py.paige_table: an entry of x @ M is an integer of at most
-    8 (p - 1)^2, so its quotient by p is correctly rounded and floors to
-    the integer quotient, and a base-q key, below q^8 <= 2^24, is an
-    exact float32 sum."""
-    p, q = F.p, F.q
-    z = np.matmul(X.astype(np.float32), mats.astype(np.float32))
-    r = z / p
-    np.floor(r, out=r)
-    r *= p
-    z -= r
-    keys = z @ (q ** np.arange(7, -1, -1)).astype(np.float32)
-    img = addr[keys.astype(np.intp)]
-    if img.size and img.min() < 0:
-        raise InternalError("conjugation image left the representative set")
-    return img
 
 
 def _screen(F, T, mats, reps, addr):
@@ -312,7 +287,7 @@ def _screen(F, T, mats, reps, addr):
     cells = T[np.ix_(A, B)]
     S, pos = np.unique(np.concatenate([A, B, cells.ravel()]),
                        return_inverse=True)
-    img = _images(F, mats, reps[S], addr)
+    img = _linear_images(F, mats, reps[S], addr)
     fa = img[:, pos[:len(A)], None]
     fb = img[:, None, pos[len(A):len(A) + len(B)]]
     fab = img[:, pos[len(A) + len(B):].reshape(cells.shape)]
@@ -324,8 +299,8 @@ def conjugation_autos(F, L=None, progress=None):
     for units u of the split octonions, that are loop automorphisms.
 
     One unit per scalar class is scanned, in chunks.  Each conjugation is
-    linear, since the Zorn product is bilinear, and is applied as its 8x8
-    matrix over GF(p), built from oct_mul on the basis vectors.  A unit is
+    GF(p)-linear, since the Zorn product is bilinear, and is applied as
+    its digit matrix by _linear_images, at any q.  A unit is
     rejected when its map breaks a product on one of the screen cells;
     that cell is a witness.  The maps of the other units are induced in
     full and sifted into the group built so far.  A member is a product of
@@ -350,7 +325,7 @@ def conjugation_autos(F, L=None, progress=None):
     for start in range(0, m, step):
         M = mats[start:start + step]
         keep = _screen(F, T, M, reps, addr)
-        rows = _images(F, M[keep], reps, addr)
+        rows = _linear_images(F, M[keep], reps, addr)
         i = ch.first_nonmember(rows)
         while i < len(rows):
             if is_loop_automorphism(L, rows[i]):
@@ -388,8 +363,10 @@ def aut_summary(q, methods=None):
             raise DomainError("computed mode runs at q in {2, 3} only")
         return {"q": q, "computed": None, "predicted": str(predicted),
                 "methods": [], "match": None}
-    if methods is None:
-        methods = ["backtrack", "conjugation"]
+    methods = (["backtrack", "conjugation"] if methods is None
+               else list(methods))
+    if not methods or len(set(methods)) < len(methods):
+        raise DomainError("methods must be one or more distinct names")
     for m in methods:
         if m not in ("backtrack", "conjugation", "stabilizer"):
             raise DomainError(f"unknown method {m!r}")
@@ -408,4 +385,4 @@ def aut_summary(q, methods=None):
             values[m] = origin_stabilizer_automorphisms(T).group.order
     computed = max(values.values())
     return {"q": q, "computed": str(computed), "predicted": str(predicted),
-            "methods": list(methods), "match": computed == predicted}
+            "methods": methods, "match": computed == predicted}

@@ -192,11 +192,8 @@ def _build_table(F, reps):
     n = len(reps)
     _check_table_cells(n)
     dtype = np.int16 if n <= 32767 else np.int32
-    out = np.empty((n, n), dtype=dtype)
-    rc = _kernels.paige_table(F, reps, _address_book(F, reps), out)
-    if rc != 0:
-        raise InternalError("a product fell outside the element list")
-    return out
+    return _kernels.paige_table(F, reps, _address_book(F, reps),
+                                np.empty((n, n), dtype=dtype))
 
 
 def _labels(F, reps):
@@ -402,6 +399,8 @@ def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
                                   "full")
         return MoufangVerdict(True, None, 4 * n**3, "full")
     if mode == "sample":
+        if n_samples < 1:
+            raise DomainError("n_samples must be positive")
         rng = np.random.default_rng(seed)
         xs, ys, zs = [_draw_samples(rng, n, n_samples, T.dtype)
                       for _ in range(3)]

@@ -291,6 +291,8 @@ def check_composition(F, mode="full", n_samples=1_000_000, seed=0):
     """
     if mode not in ("full", "sample"):
         raise DomainError(f"unknown mode {mode!r}")
+    if mode == "sample" and n_samples < 1:
+        raise DomainError("n_samples must be positive")
     q = F.q
     if mode == "full":
         if q > 2:

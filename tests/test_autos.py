@@ -8,7 +8,9 @@ from paigeloops import (DomainError, FiniteLoop, LimitError,
                         LoopAutomorphism, Permutation, aut_backtrack,
                         aut_summary, conjugation_autos, field,
                         frobenius_on_paige, g2_order, is_loop_automorphism,
-                        loop_from_table)
+                        loop_from_table, paige_representatives)
+from paigeloops._kernels_py import (_digit_matrices, _field_digits,
+                                    _linear_images)
 from paigeloops.loops import _rep_address
 from paigeloops.zorn import oct_canonical, oct_conj, oct_mul, oct_norm
 
@@ -248,7 +250,7 @@ def test_conjugation_screen_against_full_check(paige2):
     and the screen keeps exactly the 57 automorphisms of the 120 maps."""
     F = field(2)
     mats, reps, addr = autos._conjugation_setup(F)
-    maps = autos._images(F, mats, reps, addr)
+    maps = _linear_images(F, mats, reps, addr)
     assert len(np.unique(maps, axis=0)) == len(maps) == 120
     full = np.array([is_loop_automorphism(paige2, m) for m in maps])
     screen = autos._screen(F, paige2.table, mats, reps, addr)
@@ -272,21 +274,43 @@ def test_conjugation_matrices_match_the_zorn_product(q):
     for s in range(0, len(units), 60):
         u, ui = units[s:s + 60, None], uinvs[s:s + 60, None]
         want = oct_canonical(F, oct_mul(F, oct_mul(F, u, reps[None]), ui))
-        got = autos._images(F, mats[s:s + 60], reps, addr)
+        got = _linear_images(F, mats[s:s + 60], reps, addr)
         assert (got == addr[_rep_address(q, want)]).all()
 
 
-@pytest.mark.parametrize("q", [2, 3])
+def _int64_images(F, mats, X, addr):
+    """addr at the keys of the digits of x @ M mod p, computed in int64 and
+    turned back into coordinates, for each M of mats (rows) and each x
+    of X (columns)."""
+    p, k = F.p, F.k
+    D = _field_digits(F)[X].reshape(len(X), 8 * k).astype(np.int64)
+    z = np.matmul(D, mats.astype(np.int64)) % p
+    coords = z.reshape(len(mats), len(X), 8, k) @ p ** np.arange(k)
+    return addr[_rep_address(F.q, coords)]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_float32_images_match_an_int64_reference(q):
-    """The float32 images of every scanned unit's map equal the keys of
-    x @ M mod p computed in int64."""
+    """The float32 images of every scanned unit's map (q = 2, 3), of the
+    fill's left multiplications (every row at q = 2, 3 and every 97th at
+    q = 4) and of the Frobenius equal the int64 reference; the
+    Frobenius images are also those of the entrywise x -> x^p."""
     F = field(q)
-    mats, reps, addr = autos._conjugation_setup(F)
-    for s in range(0, len(mats), 120):
-        M = mats[s:s + 120]
-        z = np.matmul(reps.astype(np.int64), M.astype(np.int64)) % F.p
-        want = addr[_rep_address(q, z)]
-        assert np.array_equal(autos._images(F, M, reps, addr), want)
+    reps = paige_representatives(q)
+    addr = loops._address_book(F, reps)
+    X = reps[::1 if q < 4 else 97, None]
+    frob = _digit_matrices(F, lambda B: F.frob_table[B])
+    stacks = [_digit_matrices(F, lambda B: oct_mul(F, X, B)), frob]
+    if q < 4:
+        stacks.append(autos._conjugation_setup(F)[0])
+    step = max(1, (1 << 17) // len(reps))
+    for mats in stacks:
+        for s in range(0, len(mats), step):
+            M = mats[s:s + step]
+            assert np.array_equal(_linear_images(F, M, reps, addr),
+                                  _int64_images(F, M, reps, addr))
+    assert np.array_equal(_linear_images(F, frob, reps, addr)[0],
+                          addr[_rep_address(q, F.frob_table[reps])])
 
 
 def test_conjugation_sift_and_check_alone(monkeypatch, paige2):
@@ -420,5 +444,7 @@ def test_aut_summary_formula_only():
         aut_summary(16)
     with pytest.raises(DomainError):
         aut_summary(5, methods=["conjugation"])
-    with pytest.raises(DomainError):
-        aut_summary(2, methods=["guesswork"])
+    # an empty or repeated method list is refused before any route runs
+    for methods in (["guesswork"], [], ["backtrack", "backtrack"]):
+        with pytest.raises(DomainError):
+            aut_summary(2, methods=methods)

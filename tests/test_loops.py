@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from paigeloops import _kernels_py, loops
+from paigeloops import _kernels_py, autos, loops
 from paigeloops import (DomainError, InternalError, LimitError,
                         MalformedTableError,
                         NoIdentityAtZeroError, NotLatinError, check_moufang,
@@ -145,6 +145,10 @@ def test_moufang_sampled_catches_loop5(loop5):
         check_moufang(loop5, mode="sample", n_samples=10, seed=1)
     with pytest.raises(DomainError):
         check_moufang(loop5, mode="exhaustive")
+    # no sample passes vacuously with 0 triples checked
+    for n in (0, -1):
+        with pytest.raises(DomainError):
+            check_moufang(loop5, mode="sample", n_samples=n)
 
 
 def test_moufang_full_counterexample_is_least(loop5):
@@ -413,19 +417,24 @@ def test_paige_q_validation():
         paige_representatives(16)
 
 
-# SHA-256 of the int16 tables, taken from a fill that multiplied every
-# cell with oct_mul and relabelled it with oct_canonical
+# SHA-256 of the int16 tables: M*(2) and M*(3) from a fill that
+# multiplied every cell with oct_mul and relabelled it with
+# oct_canonical, M*(4) from the fill that built each block of rows' left
+# multiplications with its own oct_mul and looked them up block by block
 _TABLE_SHA256 = {
     2: "749811eea7d7ed36934a5b922a72f924cbb539e9de697b941839c45618f3dbdc",
     3: "a4ee2ee6fa8faf05570163265ed5cbb1bc65ffce6cc184e8c1a9077b67e20f73",
+    4: "76948cc161dac6242ee56fd7fa8175eea9ccc669b3774586a34cba83cfe073bc",
 }
 
 
-@pytest.mark.parametrize("q", [2, 3])
-def test_paige_table_is_pinned(q):
-    T = paige_loop(q).table
+@pytest.mark.parametrize("q", [2, 3, pytest.param(4, marks=pytest.mark.slow)])
+def test_paige_table_is_pinned(q, paige4):
+    T = (paige4() if q == 4 else paige_loop(q)).table
     assert T.dtype == np.int16 and T.flags.c_contiguous
-    assert hashlib.sha256(T.tobytes()).hexdigest() == _TABLE_SHA256[q]
+    # hashed in place: a copy of M*(4)'s table would take 508 MiB more
+    assert hashlib.sha256(memoryview(T).cast("B")).hexdigest() == \
+        _TABLE_SHA256[q]
 
 
 def _label_coords(F, labels):
@@ -498,6 +507,12 @@ def test_missing_product_raises(monkeypatch):
     monkeypatch.setattr(loops, "_address_book", holed)
     with pytest.raises(InternalError):
         loops._build_table(F, reps)
+    # the conjugation images go through the same kernel; the identity
+    # unit alone maps reps[5] into the hole
+    monkeypatch.setattr(autos, "_address_book", holed)
+    mats, _, addr = autos._conjugation_setup(F)
+    with pytest.raises(InternalError):
+        _kernels_py._linear_images(F, mats, reps, addr)
 
 
 def test_fill_transients_stay_near_a_block(traced_peak):
@@ -508,8 +523,8 @@ def test_fill_transients_stay_near_a_block(traced_peak):
     n = len(reps)
 
     def fill():
-        out = np.empty((n, n), dtype=np.int16)
-        assert _kernels_py.paige_table(F, reps, addr, out) == 0
+        _kernels_py.paige_table(F, reps, addr,
+                                np.empty((n, n), dtype=np.int16))
 
     assert traced_peak(fill) < n * n * 2 / 2**20 + 4
 
@@ -522,7 +537,7 @@ def test_fill_over_gf4_matches_zorn_products():
     addr = loops._address_book(F, reps)
     sub = reps[::97]
     out = np.empty((len(sub), len(sub)), dtype=np.int32)
-    assert _kernels_py.paige_table(F, sub, addr, out) == 0
+    _kernels_py.paige_table(F, sub, addr, out)
     want = addr[loops._rep_address(4, oct_mul(F, sub[:, None], sub[None]))]
     assert (out == want).all()
 

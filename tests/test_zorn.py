@@ -110,6 +110,9 @@ def test_composition_sampled():
         check_composition(field(3), mode="full")
     with pytest.raises(DomainError):
         check_composition(field(3), mode="everything")
+    for n in (0, -1):
+        with pytest.raises(DomainError):
+            check_composition(field(3), mode="sample", n_samples=n)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
