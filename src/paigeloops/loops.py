@@ -297,21 +297,31 @@ def subloop_closure(L, seed):
 
 
 def loop_center(L):
-    """Elements commuting and associating with everything; sorted array."""
+    """Elements commuting and associating with everything; sorted array.
+
+    The identity is central by the loop axioms and is taken unscanned.
+    Row x of the table is compared with column x in blocks of
+    _LATIN_CELLS cells, and each other element that commutes with
+    everything is checked for the three associations in blocks of rows a
+    of _kernels._blocks (the gathers' intp indices take 4 times the
+    block's int16 cells), the first failing block ending the check."""
     T = L.table
     n = L.n
-    candidates = np.nonzero((T == T.T).all(axis=1))[0]
-    out = []
-    for x in candidates:
-        x = int(x)
-        # (xa)b == x(ab), (ax)b == a(xb), (ab)x == a(bx) for all a, b
-        if not (T[T[x, :], :] == T[x, T]).all():
-            continue
-        if not (T[T[:, x], :] == T[:, T[x, :]]).all():
-            continue
-        if not (T[:, x][T] == T[:, T[:, x]]).all():
-            continue
-        out.append(x)
+    commutes = np.zeros(n, dtype=bool)
+    step = max(1, _LATIN_CELLS // n)
+    for lo in range(1, n, step):
+        hi = min(lo + step, n)
+        commutes[lo:hi] = (T[lo:hi] == T[:, lo:hi].T).all(axis=1)
+    out = [0]
+    for x in np.flatnonzero(commutes).tolist():
+        row, col = T[x], T[:, x]
+        # (x a) b = x (a b), (a x) b = a (x b), (a b) x = a (b x) for the
+        # rows a of a block and every b
+        if all((T[row[a:b]] == row[T[a:b]]).all()
+               and (T[col[a:b]] == T[a:b][:, row]).all()
+               and (col[T[a:b]] == T[a:b][:, col]).all()
+               for a, b in _kernels._blocks(0, n, n)):
+            out.append(x)
     return np.array(out, dtype=np.int64)
 
 
@@ -444,12 +454,38 @@ def first_nonassociative_triple(L):
     return None
 
 
+class _Translations:
+    """The nonidentity translations of a loop, read off its table T as a
+    row sequence: L_a = T[a] for a = 1..n-1, then R_a = T[:, a] for
+    a = 1..n-1.  It has len(), and int and slice indexing, which return
+    int32 copies of just the rows asked for."""
+
+    def __init__(self, table):
+        self.table = table
+        self.m = len(table) - 1
+
+    def __len__(self):
+        return 2 * self.m
+
+    def __getitem__(self, key):
+        T, m = self.table, self.m
+        if not isinstance(key, slice):
+            i = range(2 * m)[key]
+            return (T[1 + i] if i < m else T[:, 1 + i - m]).astype(np.int32)
+        idx = np.arange(2 * m)[key]
+        left = idx < m
+        out = np.empty((len(idx), len(T)), dtype=np.int32)
+        out[left] = T.take(1 + idx[left], axis=0)
+        out[~left] = T.take(1 + idx[~left] - m, axis=1).T
+        return out
+
+
 def multiplication_group(L):
     """Mlt(L): the permutation group generated by all left and right
-    translations."""
-    gens = [L.left_translation(a) for a in range(1, L.n)]
-    gens += [L.right_translation(a) for a in range(1, L.n)]
-    return PermGroup(gens, degree=L.n)
+    translations, L_a for a = 1..n-1 and then R_a for a = 1..n-1.  The
+    chain reads them as rows and columns of the table, a block of rows at
+    a time, and .generators makes them Permutations only when read."""
+    return PermGroup._from_rows(_Translations(L.table), L.n)
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,14 @@ generate it.  The words only make it likely that most inputs sift as
 members, which saves the Schreier generators each installed input would
 bring (the random subproduct idea of Babai, Cooperman, Finkelstein, Luks
 and Seress, JCSS 50, 1995, made deterministic).  With one or two inputs
-the words are the inputs themselves, in order.  Base points: level 0 uses
-the least point moved by any input generator (or a caller-forced point
-for stabilizer base changes); each deeper level uses the least point
-moved by the residue that created it.
+the words are the inputs themselves, in order.  The inputs are read as
+rows, block by block: the words compose one row at a time, and the scan
+for the first base point and the member sifts take one block of rows
+(see _kernels_py._blocks) at a time, so inputs that are the rows and
+columns of a loop's table, as for Mlt(L), are never all copied at once.
+Base points: level 0 uses the least point moved by any input generator
+(or a caller-forced point for stabilizer base changes); each deeper level
+uses the least point moved by the residue that created it.
 """
 
 import numpy as np
@@ -186,15 +190,15 @@ def _lcm(a, b):
 
 def _words(rows):
     """The product of rows[0::2] and the product of rows[1::2], each
-    composed in input order, one composition per row; an empty product is
-    left out.  With one or two rows the words are the rows themselves."""
+    composed in input order, one composition per row read by index; an
+    empty product is left out.  With one or two rows the words are the
+    rows themselves."""
     words = []
-    for part in (rows[0::2], rows[1::2]):
-        if len(part):
-            w = np.array(part[0], dtype=np.int32)
-            for r in part[1:]:
-                _kernels.compose_into(w, r, w)
-            words.append(w)
+    for first in range(min(2, len(rows))):
+        w = np.array(rows[first], dtype=np.int32)
+        for i in range(first + 2, len(rows), 2):
+            _kernels.compose_into(w, rows[i], w)
+        words.append(w)
     return words
 
 
@@ -338,7 +342,8 @@ class _Chain:
     def add_inputs(self, rows):
         """Install the two words of rows (see _words), then
         add_input_generator for each of rows in turn, with the members
-        between two non-members skipped by block sifts."""
+        between two non-members skipped by block sifts.  rows is read
+        by index and by blocks of rows, never whole."""
         for w in _words(rows):
             self.add_input_generator(w)
         i = self.first_nonmember(rows)
@@ -436,7 +441,9 @@ class _Chain:
 
 class PermGroup:
     """Permutation group defined by generators, with a lazily built
-    deterministic stabilizer chain."""
+    deterministic stabilizer chain.  The chain reads the generators as a
+    row sequence: rows[i] and rows[lo:hi] give image rows, and len(rows)
+    their number."""
 
     def __init__(self, generators, degree=None, base_hint=None,
                  _chain=None):
@@ -458,12 +465,32 @@ class PermGroup:
                 f"degree {degree} exceeds {config.MAX_PERM_DEGREE}",
                 bound=config.MAX_PERM_DEGREE)
         self.degree = degree
-        self.generators = gens
+        self._gens = gens
+        self._rows = [g.images for g in gens]
         self._base_hint = list(base_hint) if base_hint else []
         for b in self._base_hint:
             if not 0 <= b < degree:
                 raise DomainError("base hint point out of range")
         self._chain = _chain
+
+    @classmethod
+    def _from_rows(cls, rows, degree):
+        """The group generated by a read-only row sequence, trusted to
+        hold permutations of degree `degree` and read as is: len(rows),
+        and rows[i] and rows[lo:hi], int32 copies of just the rows asked
+        for."""
+        G = cls([], degree=degree)
+        G._rows, G._gens = rows, None
+        return G
+
+    @property
+    def generators(self):
+        """The input generators as Permutations, for a group made from a
+        row sequence built on first read."""
+        if self._gens is None:
+            self._gens = [Permutation(self._rows[i], _checked=True)
+                          for i in range(len(self._rows))]
+        return self._gens
 
     # -- chain ----------------------------------------------------------
 
@@ -472,14 +499,15 @@ class PermGroup:
             return self._chain
         d = self.degree
         ch = _Chain(d)
-        rows = [g.images for g in self.generators]
+        rows = self._rows
         for b in self._base_hint:
             ch.add_level(b)
         if not ch.nlevels():
             # the least point any input moves, read off blocks of rows
             first = d
             for lo, hi in _kernels._blocks(0, len(rows), d):
-                moved = (np.array(rows[lo:hi]) != np.arange(d)).any(axis=0)
+                moved = (np.asarray(rows[lo:hi]) != np.arange(d)).any(
+                    axis=0)
                 if moved.any():
                     first = min(first, int(moved.argmax()))
             if first < d:
@@ -529,25 +557,21 @@ class PermGroup:
     def orbit(self, pts):
         """Orbit of a point, or the union of the orbits of an array of
         points, under the input generators (sorted points); one search
-        from all the points at once."""
+        from all the points at once, the generators read a block of rows
+        at a time."""
         pts = np.asarray(pts, dtype=np.int64)
         if pts.size and not (0 <= pts.min() and pts.max() < self.degree):
             raise DomainError("point out of range")
-        reached = np.zeros(self.degree, dtype=bool)
+        d = self.degree
+        reached = np.zeros(d, dtype=bool)
         reached[pts] = True
-        # distinct points have distinct images under each generator, so
-        # no frontier holds a point twice
         frontier = np.flatnonzero(reached)
-        rows = [g.images for g in self.generators]
         while len(frontier):
-            nxt = []
-            for row in rows:
-                ys = row[frontier]
-                new = ys[~reached[ys]]
-                if len(new):
-                    reached[new] = True
-                    nxt.append(new)
-            frontier = np.concatenate(nxt) if nxt else frontier[:0]
+            hit = np.zeros(d, dtype=bool)
+            for lo, hi in _kernels._blocks(0, len(self._rows), d):
+                hit[np.asarray(self._rows[lo:hi])[:, frontier]] = True
+            frontier = np.flatnonzero(hit & ~reached)
+            reached |= hit
         return np.nonzero(reached)[0]
 
     def is_transitive(self):
@@ -637,5 +661,5 @@ class PermGroup:
     def __repr__(self):
         built = "built" if self._chain is not None else "lazy"
         return (f"PermGroup(degree={self.degree}, "
-                f"ngens={len(self.generators)}, {built})")
+                f"ngens={len(self._rows)}, {built})")
 

@@ -356,6 +356,57 @@ def test_center_of_norm_one_loop_gf3():
     assert M.mul(other, other) == 0
 
 
+def _center_by_definition(L):
+    T = L.table.astype(np.int64)
+    return [x for x in range(L.n)
+            if (T[x] == T[:, x]).all()
+            and (T[T[x]] == T[x][T]).all()
+            and (T[T[:, x]] == T[:, T[x]]).all()
+            and (T[:, x][T] == T[:, T[:, x]]).all()]
+
+
+def test_center_blocks_of_one_row_give_the_same_centers(monkeypatch, s3, c4,
+                                                        klein, loop5,
+                                                        paige2):
+    """The commutation scan and the association checks, in blocks of one
+    row, give the centers of the definition; the unit loop of GF(3)
+    octonions is checked against {1, -1}."""
+    loops_ = {"s3": s3, "c4": c4, "klein": klein, "loop5": loop5,
+              "M*(2)": paige2}
+    want = {k: _center_by_definition(L) for k, L in loops_.items()}
+    assert want["c4"] == want["klein"] == [0, 1, 2, 3]
+    M = unit_loop(3)
+    minus_one = int(loop_center(M)[1])
+    rows = []
+    blocks = _kernels_py._blocks
+
+    def counted(lo, hi, d):
+        for a, b in blocks(lo, hi, d):
+            rows.append(b - a)
+            yield a, b
+
+    monkeypatch.setattr(_kernels_py, "_blocks", counted)
+    monkeypatch.setattr(loops, "_LATIN_CELLS", 1)
+    monkeypatch.setattr(_kernels_py, "_BLOCK_CELLS", 1)
+    for k, L in loops_.items():
+        assert loop_center(L).tolist() == want[k]
+    assert loop_center(M).tolist() == [0, minus_one]
+    assert rows and set(rows) == {1}
+    assert M.mul(minus_one, minus_one) == 0
+    assert all(M.mul(minus_one, x) == M.mul(x, minus_one) != x
+               for x in range(M.n))
+
+
+@pytest.mark.slow
+def test_center_of_paige4_stays_near_a_block(paige4, traced_peak):
+    """The commutation scan of the 16,320 x 16,320 table runs in 128-row
+    blocks; comparing it with its transpose whole held 1,270 MiB."""
+    L = paige4()
+    got = []
+    assert traced_peak(lambda: got.append(loop_center(L))) < 16
+    assert got[0].tolist() == [0]
+
+
 def test_simplicity(paige2, s3, c4, loop5):
     assert is_simple(paige2).simple
     v = is_simple(s3)
@@ -384,6 +435,66 @@ def test_multiplication_group_of_groups(s3, c4, klein):
     assert multiplication_group(s3).order == 36
     assert multiplication_group(c4).order == 4
     assert multiplication_group(klein).order == 4
+    trivial = multiplication_group(loop_from_table([[0]]))
+    assert trivial.order == 1 and trivial.generators == []
+
+
+@pytest.mark.parametrize("name", ["s3", "M*(2)"])
+def test_mlt_generators_are_the_translations(name, s3, paige2):
+    """The chain, the orbits and the repr read the table's rows and
+    columns; .generators makes the left then the right translations on
+    first read, and the row sequence's slices are those rows in int32."""
+    L = {"s3": s3, "M*(2)": paige2}[name]
+    G = multiplication_group(L)
+    assert len(G.orbit(0)) == L.n
+    assert "ngens=%d" % (2 * L.n - 2) in repr(G)
+    assert G.order == {"s3": 36, "M*(2)": 174_182_400}[name]
+    assert G._gens is None
+    want = ([L.left_translation(a) for a in range(1, L.n)]
+            + [L.right_translation(a) for a in range(1, L.n)])
+    assert G.generators == want
+    assert G.generators is G.generators
+    stacked = np.array([p.images for p in want])
+    rows = G._rows
+    for key in (slice(0, 3), slice(L.n - 3, L.n + 2), slice(None, None, 2),
+                slice(1, None, 2), slice(-2, None)):
+        assert rows[key].dtype == np.int32
+        assert (rows[key] == stacked[key]).all()
+    assert all((rows[i] == stacked[i]).all() and rows[i].dtype == np.int32
+               for i in (0, L.n - 2, L.n - 1, -1))
+
+
+def test_mlt_chain_reads_a_block_of_rows_at_a_time(monkeypatch, paige2):
+    """No read of the translations asks for more than one sift block, here
+    16 rows of M*(2)."""
+    monkeypatch.setattr(_kernels_py, "_BLOCK_CELLS", 16 * 120)
+    asked = []
+    getitem = loops._Translations.__getitem__
+
+    def counted(self, key):
+        out = getitem(self, key)
+        asked.append(len(out) if out.ndim == 2 else 1)
+        return out
+
+    monkeypatch.setattr(loops._Translations, "__getitem__", counted)
+    G = multiplication_group(paige2)
+    assert G.order == 174_182_400
+    assert len(G.orbit(0)) == 120
+    assert max(asked) == 16
+    assert G._gens is None
+
+
+def test_mlt_paige3_chain_stays_near_its_cache(paige3, traced_peak):
+    """|Mlt(M*(3))| is built from the table's rows and columns: the peak
+    is the transversal cache of its chain, one row per basic-orbit point
+    (7.24 MiB), and a few blocks, where 2,158 int32 translation copies
+    took it to 18.0 MiB."""
+    L = paige3()
+    got = []
+    peak = traced_peak(lambda: got.append(multiplication_group(L).order))
+    assert got == [4_952_179_814_400]
+    cache = sum([1080, 351, 224, 60, 27, 12, 3]) * L.n * 4 / 2**20
+    assert peak < cache + 2
 
 
 def test_save_load_roundtrip(tmp_path, paige2, loop5):
