@@ -19,10 +19,11 @@ permutations, reduced level by level together.  At each level, row r is
 composed with row pos[x_r] of uinv, x_r its image of the base, in one
 flat gather from uinv.ravel() at h[r] + pos[x_r] * d.  A row that sticks
 at a level, or ends reduced but not the identity, is the block's answer,
-and the rows after it are dropped.  Every block but the last has
-_BLOCK_CELLS // d rows, so a block costs about 1 MiB.  A sweep stops
-early only at a residue, which happens a few dozen times a chain at
-most, so few rows are sifted in vain.  A single row is a block of one.
+and the rows after it are dropped.  A sift row costs 16 d bytes (the
+row, its int32 indices and their intp copy), 60 rows a block at d =
+1,080.  A sweep stops early only at a residue, which happens a few dozen
+times a chain at most, so few rows are sifted in vain.  A single row is
+a block of one.
 
 Orbit positions are stable: orbit extension appends new points and never
 relabels old ones, so sweep cursors and cached rows stay valid.
@@ -33,7 +34,19 @@ on base-p digits (_digit_matrices), applied to many octonions at once as
 an exact float32 product, reduced mod p and looked up by base-q key.
 The Paige table's rows (left multiplications) are such maps, and so are
 the unit conjugations and the Frobenius of autos.
+
+One budget, _BLOCK_BYTES, bounds every bulk step here and in loops,
+zorn, autos and perm: each takes its rows from _blocks(lo, hi,
+row_bytes), _BLOCK_BYTES // row_bytes rows a block (at least one).  A
+site's row_bytes is what one row of its block holds at once: the
+copies, gathers and masks made for it at their dtypes' sizes, and the
+intp indices built for np.take or a flat gather, 8 bytes a cell (fancy
+indexing casts smaller index arrays through fixed buffers); a step that
+makes nothing per row counts the row it reads.  No answer depends on
+the block size.
 """
+
+import math
 
 import numpy as np
 
@@ -90,17 +103,27 @@ def orbit_update(gs, sv, pos, orbit, norbit, base):
     return norbit
 
 
-# Cells of one sift block: 60 rows at d = 1,080, where the block, its
-# int32 gather indices and numpy's intp copy of them come to about 1 MiB.
-_BLOCK_CELLS = 1 << 16
+# Bytes of scratch that one block of a bulk step holds.
+_BLOCK_BYTES = 1 << 20
 
 
-def _blocks(lo, hi, d):
+def _blocks(lo, hi, row_bytes):
     """Consecutive ranges (a, b) covering lo..hi, each of
-    _BLOCK_CELLS // d rows (at least one) but the last."""
-    k = max(1, _BLOCK_CELLS // d)
+    _BLOCK_BYTES // row_bytes rows (at least one) but the last."""
+    k = max(1, _BLOCK_BYTES // row_bytes)
     for a in range(lo, hi, k):
         yield a, min(a + k, hi)
+
+
+def _draw_samples(rng, n, shape, dtype):
+    """rng.integers(0, n, size=shape), drawn a block of rows at a time (a
+    row costs its int64 draws) and kept in dtype.  Below 2^32 each draw
+    takes the bit generator's own buffered 32-bit outputs, so the blocks
+    join up to the single draw."""
+    out = np.empty(shape, dtype)
+    for i0, i1 in _blocks(0, len(out), 8 * math.prod(out.shape[1:])):
+        out[i0:i1] = rng.integers(0, n, size=(i1 - i0,) + out.shape[1:])
+    return out
 
 
 def transversal_fill(gs, sv, pos, orbit, norbit, base, uinv):
@@ -121,13 +144,12 @@ def transversal_fill(gs, sv, pos, orbit, norbit, base, uinv):
     filled = np.zeros(d, dtype=bool)
     filled[base] = True
     flat = uinv.ravel()
-    cap = max(1, _BLOCK_CELLS // d)
     while len(todo):
         ready = todo[filled[parent[todo]]]
         if not len(ready):
             raise RuntimeError("disconnected Schreier tree")
-        for lo in range(0, len(ready), cap):
-            ys = ready[lo:lo + cap]
+        for lo, hi in _blocks(0, len(ready), 16 * d):
+            ys = ready[lo:hi]
             # row y[j] = row parent(y)[g_edge^{-1}(j)]
             idx = gs[sv[ys] ^ 1] + (pos[parent[ys]].astype(np.intp)
                                     * d)[:, None]
@@ -199,7 +221,7 @@ def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
     u = uinvs[lev]
     nstop = norbits[lev]
     involution = bool((srow == genstacks[lev][2 * gi + 1]).all())
-    for lo, hi in _blocks(startpos, nstop, d):
+    for lo, hi in _blocks(startpos, nstop, 16 * d):
         ps = orbit[lo:hi]
         sps = srow[ps]
         build = (sv[sps] != 2 * gi) & (sv[ps] != 2 * gi + 1)
@@ -226,11 +248,6 @@ def _field_digits(F):
     return np.arange(F.q)[:, None] // F.p ** np.arange(F.k) % F.p
 
 
-# Float32 entries of one block's products (1 MiB): the maps of a block
-# times the columns times 8k digits, 30 maps of M*(3) and 1 of M*(4).
-_FILL_ENTRIES = 1 << 18
-
-
 def _digit_matrices(F, f):
     """The (b, 8k, 8k) int8 stack of the GF(p) matrices of b GF(p)-linear
     maps of octonions over GF(p^k): f takes the (8k, 8) digit basis and
@@ -250,8 +267,9 @@ def _linear_images(F, mats, X, addr, out=None):
     addr's dtype if not given; returns out, or raises InternalError when
     an image's key (the base-p number of its digits) is not in addr.
 
-    A block holds at most _FILL_ENTRIES products (at least one map), so
-    the scratch arrays stay near 1 MiB each whatever q is.  The float32
+    Maps are taken in _blocks; one image costs its unreduced digits and
+    their quotients by p in float32, and its key and value, 8 (8k + 2)
+    bytes, so a block is 12 maps of M*(3) and 1 of M*(4).  The float32
     arithmetic is exact: a digit of X[j] @ mats[i] before reduction is an
     integer of at most 8k (p - 1)^2, so its quotient by p is correctly
     rounded and floors to the integer quotient, and the keys, below q^8,
@@ -265,10 +283,9 @@ def _linear_images(F, mats, X, addr, out=None):
     weights = weights.astype(np.float32 if F.q ** 8 <= 1 << 24
                              else np.float64)
     R = _field_digits(F).astype(np.float32).take(X, axis=0).reshape(n, m)
-    block = max(1, min(len(mats), _FILL_ENTRIES // (n * m)))
-    for i0 in range(0, len(mats), block):
-        M = mats[i0:i0 + block]
-        b = len(M)
+    for i0, i1 in _blocks(0, len(mats), 8 * n * (m + 2)):
+        M = mats[i0:i1]
+        b = i1 - i0
         # P[j, (i, d)] is digit d of X[j] @ M[i] before reduction mod p
         P = R @ M.transpose(1, 0, 2).reshape(m, b * m).astype(np.float32)
         Q = P / p
@@ -279,7 +296,7 @@ def _linear_images(F, mats, X, addr, out=None):
         vals = addr[keys].reshape(n, b)
         if (vals < 0).any():
             raise InternalError("an image fell outside the element list")
-        out[i0:i0 + b] = vals.T
+        out[i0:i1] = vals.T
     return out
 
 
@@ -287,11 +304,10 @@ def paige_table(F, reps, addr, out):
     """Fill out[i, j] = addr[key of reps[i] * reps[j]] and return out.
     The Zorn product is GF(p)-bilinear, so row i is the images of reps
     under left multiplication by reps[i]; the stack of those maps is
-    built one oct_mul per block of at most _FILL_ENTRIES coordinates."""
+    built one oct_mul per block of reps, 64 bytes a product coordinate."""
     n, m = len(reps), 8 * F.k
     Ls = np.empty((n, m, m), dtype=np.int8)
-    step = _FILL_ENTRIES // (8 * m)
-    for i0 in range(0, n, step):
-        X = reps[i0:i0 + step, None]
-        Ls[i0:i0 + step] = _digit_matrices(F, lambda B: oct_mul(F, X, B))
+    for i0, i1 in _blocks(0, n, 64 * m):
+        X = reps[i0:i1, None]
+        Ls[i0:i1] = _digit_matrices(F, lambda B: oct_mul(F, X, B))
     return _linear_images(F, Ls, reps, addr, out)

@@ -7,8 +7,8 @@ per new orbit point of a greedy generating sequence and refutes every
 other candidate image, so it returns generators of the whole group, and
 |Aut| is the product of its orbit sizes; it never lists the group.  It
 computes a candidate's map with straight-line programs recorded once
-per loop, and it forms products in blocks of at most _CHECK_CELLS cells,
-so it allocates no n x n array beside the table and runs at q = 2, 3
+per loop, and it forms products in blocks of rows from _blocks, so it
+allocates no n x n array beside the table and runs at q = 2, 3
 and 4.  Every map returned by any of them is validated directly by
 is_loop_automorphism, the package's one automorphism validator (the
 triality correspondence uses it too); nothing is trusted on the
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels_py import _digit_matrices, _linear_images
+from ._kernels_py import _blocks, _digit_matrices, _linear_images
 from .errors import DomainError, InternalError, LimitError
 from .gf import _factor_prime_power, field
 from .loops import (
@@ -52,19 +52,12 @@ def g2_order(q):
     return q**6 * (q**6 - 1) * (q**2 - 1)
 
 
-# Rows per block of a product check, at most _CHECK_ROWS and _CHECK_CELLS
-# cells (the search's closures use the cell bound too): a block's flat
-# indices are int64, 8 MiB at most, so the full check takes 256 rows a
-# block at q = 3 and 64 at q = 4.
-_CHECK_ROWS = 256
-_CHECK_CELLS = 1 << 20
-
-
 def _embeds(T, phi, S=None):
     """Whether phi is injective on S, a sorted index array (0..n-1 if
     None), and phi(T[a, b]) == T[phi(a), phi(b)] for all a, b in S; both
-    sides are gathered in the table's dtype, a block of rows at a time,
-    up to the first block holding a broken product."""
+    sides are gathered in the table's dtype, a block of rows at a time
+    (16 bytes a cell: int64 flat indices and a gather), up to the first
+    block holding a broken product."""
     n = len(T)
     flat = T.ravel()
     fs = phi if S is None else phi[S]
@@ -73,12 +66,9 @@ def _embeds(T, phi, S=None):
     if np.count_nonzero(seen) < len(fs):
         return False
     pt = phi.astype(T.dtype)
-    step = min(_CHECK_ROWS, max(1, _CHECK_CELLS // len(fs)))
-    for lo in range(0, len(fs), step):
-        ab = (T[lo:lo + step] if S is None
-              else flat.take(S[lo:lo + step, None] * n + S))
-        if not (pt.take(ab)
-                == flat.take(fs[lo:lo + step, None] * n + fs)).all():
+    for lo, hi in _blocks(0, len(fs), 16 * len(fs)):
+        ab = T[lo:hi] if S is None else flat.take(S[lo:hi, None] * n + S)
+        if not (pt.take(ab) == flat.take(fs[lo:hi, None] * n + fs)).all():
             return False
     return True
 
@@ -116,7 +106,8 @@ def _greedy_generators(L, orders):
     straight-line program that closes S_(l-1) + gl to S_l under the
     product (enough, see subloop_closure).  It is a list of rounds
     (x, a, b) of index arrays, x = a b, where a and b were reached before
-    the round, one of them in the round before, and each x is new."""
+    the round, one of them in the round before, and each x is new.  The
+    products are formed in blocks of rows a, 16 bytes a product."""
     n = len(L)
     flat = L.table.ravel()
     mask = np.zeros(n, dtype=bool)
@@ -132,9 +123,8 @@ def _greedy_generators(L, orders):
             ix = np.flatnonzero(mask)
             got = []
             for A, B in ((new, ix), (old, new)):
-                step = max(1, _CHECK_CELLS // len(B))
-                for lo in range(0, len(A), step):
-                    a = A[lo:lo + step]
+                for lo, hi in _blocks(0, len(A), 16 * len(B)):
+                    a = A[lo:hi]
                     ab = flat.take((a[:, None] * n + B).ravel())
                     pos = np.flatnonzero(~mask[ab])
                     x, first = np.unique(ab[pos], return_index=True)
@@ -253,9 +243,6 @@ def frobenius_on_paige(q):
 # Screen cells: the products T[a, b] for a in _SCREEN_A and b in _SCREEN_B.
 _SCREEN_A = np.arange(1, 5)
 _SCREEN_B = np.arange(1, 33)
-# (unit, element) pairs induced in one batch; bounds the temporaries, which
-# unchunked at q = 3 would hold 2,160 x 1,080 x 8 coordinates each.
-_CHUNK_CELLS = 1 << 16
 
 
 def _conjugation_setup(F):
@@ -298,7 +285,8 @@ def conjugation_autos(F, L=None, progress=None):
     """The group generated by the conjugations x -> (u x) u^{-1} of M*(q),
     for units u of the split octonions, that are loop automorphisms.
 
-    One unit per scalar class is scanned, in chunks.  Each conjugation is
+    One unit per scalar class is scanned, in chunks from _blocks, a unit
+    costing the row of its map's images.  Each conjugation is
     GF(p)-linear, since the Zorn product is bilinear, and is applied as
     its digit matrix by _linear_images, at any q.  A unit is
     rejected when its map breaks a product on one of the screen cells;
@@ -319,11 +307,10 @@ def conjugation_autos(F, L=None, progress=None):
         raise DomainError(f"the loop has {len(L)} elements, M*({q}) has {n}")
     T = L.table
     m = len(mats)
-    step = max(1, _CHUNK_CELLS // n)
     ch = _Chain(n)
     added = []
-    for start in range(0, m, step):
-        M = mats[start:start + step]
+    for start, stop in _blocks(0, m, n * addr.itemsize):
+        M = mats[start:stop]
         keep = _screen(F, T, M, reps, addr)
         rows = _linear_images(F, M[keep], reps, addr)
         i = ch.first_nonmember(rows)
@@ -333,7 +320,7 @@ def conjugation_autos(F, L=None, progress=None):
                 added.append(rows[i].copy())
             i = ch.first_nonmember(rows, i + 1)
         if progress is not None:
-            progress(min(start + step, m), m)
+            progress(stop, m)
     ch.release_caches()
     if not added:
         raise InternalError("no conjugation validated as an automorphism")

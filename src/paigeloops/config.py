@@ -13,9 +13,10 @@ FIELD_MAX_Q = 25
 NORM_ONE_MAX_Q = 9
 
 # Largest int32 table: an n x n Cayley or division table of a loop (q=4
-# fits, q=5 not), a group listing of order x degree cells, or a chain's
-# transversal cache of (sum of basic orbits) x degree cells (84.6 M at
-# Aut(M*(4))).
+# fits, q=5 not), built or loaded from a file, a group listing of order x
+# degree cells, a chain's transversal cache of (sum of basic orbits) x
+# degree cells (84.6 M at Aut(M*(4))), or the sample arrays of a sampled
+# check (3 cells a Moufang triple, 16 an octonion pair).
 MAX_TABLE_CELLS = 300_000_000
 
 # Largest permutation degree, and most points in a net that build_triality

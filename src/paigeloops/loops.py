@@ -23,19 +23,13 @@ from .perm import PermGroup, Permutation
 from .zorn import (norm_one_array, norm_one_count_formula, oct_canonical,
                    oct_neg)
 
-# table cells the Latin check sorts at once: the whole table up to q = 3,
-# 128 rows of it at q = 4
-_LATIN_CELLS = 1 << 21
-_DIV_ROWS = 256
-_SAMPLE_BLOCK = 65_536      # sampled Moufang triples gathered at once
-
 
 def _check_latin(table):
+    """Rows, then columns, of a block sorted and compared with 0..n-1; a
+    row of the block costs its sorted row and column copies and a mask."""
     n = table.shape[0]
     want = np.arange(n, dtype=table.dtype)
-    step = max(1, _LATIN_CELLS // n)
-    for lo in range(0, n, step):
-        hi = min(lo + step, n)
+    for lo, hi in _kernels._blocks(0, n, n * (2 * table.itemsize + 1)):
         if not (np.sort(table[lo:hi], axis=1) == want).all():
             raise NotLatinError("a row is not a permutation of 0..n-1")
         block = np.ascontiguousarray(table[:, lo:hi].T)
@@ -93,15 +87,16 @@ class FiniteLoop:
         return self._rdiv
 
     def _division(self, rows):
-        """out[a, rows[a, b]] = b, scattered _DIV_ROWS rows at a time in the
-        table's dtype; read-only.  The table-cell bound is checked first."""
+        """out[a, rows[a, b]] = b, scattered a block of rows at a time in
+        the table's dtype; read-only.  The scatter makes no copy of its
+        indices, so a row costs the n entries it reads.  The table-cell
+        bound is checked first."""
         n = self.n
         _check_table_cells(n)
         out = np.empty((n, n), dtype=self.table.dtype)
         cols = np.arange(n, dtype=self.table.dtype)
-        for a0 in range(0, n, _DIV_ROWS):
-            blk = rows[a0:a0 + _DIV_ROWS]
-            out[a0:a0 + len(blk)][np.arange(len(blk))[:, None], blk] = cols
+        for a0, a1 in _kernels._blocks(0, n, n * rows.itemsize):
+            out[a0:a1][np.arange(a1 - a0)[:, None], rows[a0:a1]] = cols
         out.flags.writeable = False
         return out
 
@@ -300,17 +295,15 @@ def loop_center(L):
     """Elements commuting and associating with everything; sorted array.
 
     The identity is central by the loop axioms and is taken unscanned.
-    Row x of the table is compared with column x in blocks of
-    _LATIN_CELLS cells, and each other element that commutes with
-    everything is checked for the three associations in blocks of rows a
-    of _kernels._blocks (the gathers' intp indices take 4 times the
-    block's int16 cells), the first failing block ending the check."""
+    Row x of the table is compared with column x a block of rows at a
+    time (a row costs its mask), and each other element that commutes
+    with everything is checked for the three associations in blocks of
+    rows a (a row costs two gathers and a mask), the first failing block
+    ending the check."""
     T = L.table
     n = L.n
     commutes = np.zeros(n, dtype=bool)
-    step = max(1, _LATIN_CELLS // n)
-    for lo in range(1, n, step):
-        hi = min(lo + step, n)
+    for lo, hi in _kernels._blocks(1, n, n):
         commutes[lo:hi] = (T[lo:hi] == T[:, lo:hi].T).all(axis=1)
     out = [0]
     for x in np.flatnonzero(commutes).tolist():
@@ -320,7 +313,8 @@ def loop_center(L):
         if all((T[row[a:b]] == row[T[a:b]]).all()
                and (T[col[a:b]] == T[a:b][:, row]).all()
                and (col[T[a:b]] == T[a:b][:, col]).all()
-               for a, b in _kernels._blocks(0, n, n)):
+               for a, b in _kernels._blocks(0, n,
+                                            n * (2 * T.itemsize + 1))):
             out.append(x)
     return np.array(out, dtype=np.int64)
 
@@ -358,17 +352,6 @@ def _moufang_sides(T, x, y, z):
     yield 4, lhs, m(m(x, yz), x)
 
 
-def _draw_samples(rng, n, count, dtype):
-    """rng.integers(0, n, size=count), drawn _SAMPLE_BLOCK at a time and
-    kept in dtype.  Below 2^32 each draw takes the bit generator's own
-    buffered 32-bit outputs, so the blocks join up to the single draw."""
-    out = np.empty(count, dtype)
-    for i0 in range(0, count, _SAMPLE_BLOCK):
-        out[i0:i0 + _SAMPLE_BLOCK] = rng.integers(
-            0, n, size=min(_SAMPLE_BLOCK, count - i0))
-    return out
-
-
 def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
     """Check the four Moufang identities:
 
@@ -382,7 +365,10 @@ def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
     triples from a seeded generator and reports the first failing sample
     of the first failing identity.  The samples are the x, y and z of
     three rng.integers(0, n, size=n_samples) draws in turn, kept in the
-    table's dtype.
+    table's dtype, and sample mode raises LimitError before drawing when
+    their 3 n_samples cells would pass MAX_TABLE_CELLS.  A triple of a
+    block costs 32 bytes: the intp indices of a gather, the products kept
+    for the later identities and a mask.
     """
     # entries are only ever used as indices, so the table dtype is kept;
     # upcasting would quadruple the footprint at q = 4
@@ -411,14 +397,19 @@ def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
     if mode == "sample":
         if n_samples < 1:
             raise DomainError("n_samples must be positive")
+        if 3 * n_samples > config.MAX_TABLE_CELLS:
+            raise LimitError(
+                f"{n_samples} sampled triples need {3 * n_samples} cells, "
+                f"over {config.MAX_TABLE_CELLS}",
+                bound=config.MAX_TABLE_CELLS)
         rng = np.random.default_rng(seed)
-        xs, ys, zs = [_draw_samples(rng, n, n_samples, T.dtype)
+        xs, ys, zs = [_kernels._draw_samples(rng, n, n_samples, T.dtype)
                       for _ in range(3)]
         # blocks in sample order; once an identity fails, later blocks
         # check only the identities before it
         found = None
-        for i0 in range(0, n_samples, _SAMPLE_BLOCK):
-            blk = slice(i0, i0 + _SAMPLE_BLOCK)
+        for i0, i1 in _kernels._blocks(0, n_samples, 32):
+            blk = slice(i0, i1)
             for idn, lhs, rhs in _moufang_sides(T, xs[blk], ys[blk],
                                                 zs[blk]):
                 if found is not None and idn >= found[0]:
@@ -560,31 +551,44 @@ def _lab_path(path):
 
 
 def load_tbl(path):
-    """Read a `.tbl` file; attaches a `.lab` sidecar when present."""
+    """Read a `.tbl` file; attaches a `.lab` sidecar when present.  The
+    order is checked against the table-cell bound before any row is
+    read, and the rows are parsed one line at a time into the table."""
     import os
 
     path = str(path)
     with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read().split("\n")
-    lines = [ln for ln in (s.strip() for s in raw) if ln]
-    if not lines:
-        raise MalformedTableError("empty table file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise MalformedTableError("first line must be the order") from None
-    if n <= 0 or len(lines) != n + 1:
-        raise MalformedTableError(
-            f"expected {max(n, 0)} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
+        lines = (ln for ln in (s.strip() for s in fh) if ln)
+        first = next(lines, None)
+        if first is None:
+            raise MalformedTableError("empty table file")
         try:
-            row = [int(t) for t in ln.split()]
+            n = int(first)
         except ValueError:
-            raise MalformedTableError("non-integer table entry") from None
-        if len(row) != n:
-            raise MalformedTableError("row length does not match order")
-        rows.append(row)
+            raise MalformedTableError("first line must be the order") from None
+        if n > 0:
+            _check_table_cells(n)
+        table = np.empty((max(n, 0),) * 2,
+                         dtype=np.int16 if n <= 32767 else np.int32)
+        found = 0
+        for ln in lines:
+            if found < n:
+                try:
+                    row = np.array(ln.split(), dtype=np.int64)
+                except ValueError:
+                    raise MalformedTableError(
+                        "non-integer table entry") from None
+                except OverflowError:
+                    raise MalformedTableError("entry out of range") from None
+                if len(row) != n:
+                    raise MalformedTableError(
+                        "row length does not match order")
+                if row.min() < 0 or row.max() >= n:
+                    raise MalformedTableError("entry out of range")
+                table[found] = row
+            found += 1
+    if n <= 0 or found != n:
+        raise MalformedTableError(f"expected {max(n, 0)} rows, found {found}")
     labels = None
     lab = _lab_path(path)
     if os.path.exists(lab):
@@ -592,7 +596,7 @@ def load_tbl(path):
             labels = [ln for ln in fh.read().split("\n") if ln]
         if len(labels) != n:
             raise MalformedTableError("label count does not match order")
-    return FiniteLoop(np.array(rows), labels=labels)
+    return FiniteLoop(table, labels=labels)
 
 
 def bundled_loop5():

@@ -37,10 +37,11 @@ members, which saves the Schreier generators each installed input would
 bring (the random subproduct idea of Babai, Cooperman, Finkelstein, Luks
 and Seress, JCSS 50, 1995, made deterministic).  With one or two inputs
 the words are the inputs themselves, in order.  The inputs are read as
-rows, block by block: the words compose one row at a time, and the scan
-for the first base point and the member sifts take one block of rows
-(see _kernels_py._blocks) at a time, so inputs that are the rows and
-columns of a loop's table, as for Mlt(L), are never all copied at once.
+rows, one block of rows (see _kernels_py._blocks) at a time, by the
+words, the scan for the first base point, the orbit search and the
+member sifts, each counting 16 d bytes a row as the sifts do, so inputs
+that are a loop's table rows and columns, as for Mlt(L), are never all
+copied at once.
 Base points: level 0 uses the least point moved by any input generator
 (or a caller-forced point for stabilizer base changes); each deeper level
 uses the least point moved by the residue that created it.
@@ -190,15 +191,17 @@ def _lcm(a, b):
 
 def _words(rows):
     """The product of rows[0::2] and the product of rows[1::2], each
-    composed in input order, one composition per row read by index; an
-    empty product is left out.  With one or two rows the words are the
-    rows themselves."""
+    composed in input order, one composition per row of a block of rows
+    read at once; an empty product is left out.  With one or two rows
+    the words are the rows themselves."""
     words = []
-    for first in range(min(2, len(rows))):
-        w = np.array(rows[first], dtype=np.int32)
-        for i in range(first + 2, len(rows), 2):
-            _kernels.compose_into(w, rows[i], w)
-        words.append(w)
+    d = len(rows[0]) if len(rows) else 1
+    for lo, hi in _kernels._blocks(0, len(rows), 16 * d):
+        for i, r in enumerate(np.asarray(rows[lo:hi], dtype=np.int32), lo):
+            if i < 2:
+                words.append(r.copy())
+            else:
+                _kernels.compose_into(words[i % 2], r, words[i % 2])
     return words
 
 
@@ -357,7 +360,7 @@ class _Chain:
         """Index of the first of rows[start:] outside the group, or
         len(rows).  Copies of the rows are sifted in blocks."""
         uinvs = self.cache()
-        for lo, hi in _kernels._blocks(start, len(rows), self.d):
+        for lo, hi in _kernels._blocks(start, len(rows), 16 * self.d):
             h = np.array(rows[lo:hi], dtype=np.int32)
             i, _ = _kernels.sift_run(h, 0, self.bases, uinvs, self.poss)
             if i < len(h):
@@ -394,14 +397,15 @@ class _Chain:
         (Holt, Eick and O'Brien, 4.4).  Row i is u_{L-1} * ... * u_0 (left
         factor applied first), each u_l running over level l's transversal
         in orbit-position order, the deepest level slowest and level 0
-        fastest.  Each level's transversal is one matrix, the level's
-        cache inverted by one scatter, and the rows so far, E, are
-        composed with it into the level's preallocated output,
-        new[i * rows + j] = U_l[j][E[i]], deepest level first, one gather
-        per block of rows of E, sized as the sift's blocks.  Besides the
-        output, a level holds only E, 1/rows of it, and one block, so
-        LimitError, raised before allocating when order * d exceeds
-        MAX_TABLE_CELLS, bounds the whole listing's memory."""
+        fastest.  Each level's transversal is one matrix U, row j the
+        inverse of cache row j, made by one scatter, and the rows so far,
+        E, are composed with it into the level's preallocated output,
+        new[i * rows + j] = U[j][E[i]], deepest level first, one gather
+        per transversal element and block of rows of E, a row costing its
+        intp indices and one gather of them.  Besides the output, a level
+        holds only E, 1/rows of it, U and one block, so LimitError, raised
+        before allocating when order * d exceeds MAX_TABLE_CELLS, bounds
+        the whole listing's memory."""
         d = self.d
         order = self.order()
         if order * d > config.MAX_TABLE_CELLS:
@@ -412,14 +416,13 @@ class _Chain:
         E = np.arange(d, dtype=np.int32)[None]
         for uinv in reversed(self.cache()):
             rows = len(uinv)
-            # ut is U_l transposed, ut[uinv[j, k], j] = k, so ut[E[i]]
-            # holds U_l[j][E[i]] for every j
-            ut = np.empty((d, rows), dtype=np.int32)
-            ut[uinv, np.arange(rows)[:, None]] = np.arange(
-                d, dtype=np.int32)
+            U = np.empty((rows, d), dtype=np.int32)
+            U[np.arange(rows)[:, None], uinv] = np.arange(d, dtype=np.int32)
             out = np.empty((len(E), rows, d), dtype=np.int32)
-            for a, b in _kernels._blocks(0, len(E), rows * d):
-                out[a:b] = ut[E[a:b]].transpose(0, 2, 1)
+            for a, b in _kernels._blocks(0, len(E), 12 * d):
+                idx = E[a:b].astype(np.intp)
+                for j in range(rows):
+                    out[a:b, j] = U[j].take(idx)
             E = out.reshape(-1, d)
         return E
 
@@ -505,7 +508,7 @@ class PermGroup:
         if not ch.nlevels():
             # the least point any input moves, read off blocks of rows
             first = d
-            for lo, hi in _kernels._blocks(0, len(rows), d):
+            for lo, hi in _kernels._blocks(0, len(rows), 16 * d):
                 moved = (np.asarray(rows[lo:hi]) != np.arange(d)).any(
                     axis=0)
                 if moved.any():
@@ -568,7 +571,7 @@ class PermGroup:
         frontier = np.flatnonzero(reached)
         while len(frontier):
             hit = np.zeros(d, dtype=bool)
-            for lo, hi in _kernels._blocks(0, len(self._rows), d):
+            for lo, hi in _kernels._blocks(0, len(self._rows), 16 * d):
                 hit[np.asarray(self._rows[lo:hi])[:, frontier]] = True
             frontier = np.flatnonzero(hit & ~reached)
             reached |= hit

@@ -22,6 +22,7 @@ Conventions (order-sensitive): (p * q)(x) = q(p(x)), x^rho = rho^-1 x rho,
 and [g, s] = g^-1 s^-1 g s.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,15 +202,21 @@ def verify_triality_axioms(T, samples=1000, seed=0):
 @dataclass(frozen=True)
 class StabilizerCorrespondence:
     """The origin stabilizer read as loop automorphisms: the group of the
-    alphas, and all its elements, in the order group.element_array()
-    lists them."""
+    alphas, its order, and all its elements, listed on first read."""
 
     group: PermGroup              # the automorphisms alpha, acting on L
-    alphas: np.ndarray            # (m, n) image arrays, one per element
+
+    @functools.cached_property
+    def alphas(self):
+        """(m, n) image arrays, one per element, in the order
+        group.element_array() lists them; raises LimitError before it
+        allocates when the listing would pass MAX_TABLE_CELLS cells, as
+        at q = 3 (4,245,696 maps of 1,080 points)."""
+        return self.group.element_array()
 
     @property
     def count(self):
-        return len(self.alphas)
+        return self.group.order
 
 
 def origin_stabilizer_automorphisms(T):
@@ -223,10 +230,7 @@ def origin_stabilizer_automorphisms(T):
     is_loop_automorphism, the package's one automorphism validator.  The
     elements passing both checks form a subgroup, so checking the
     generators covers the whole stabilizer.  Returns the group of the
-    alphas with all its elements as image arrays, in the order of one
-    PermGroup.element_array() listing.  The listing raises LimitError
-    before it allocates when it would have more than MAX_TABLE_CELLS
-    cells, as at q = 3 (4,245,696 maps of 1,080 points)."""
+    alphas; its elements are listed only when .alphas is read."""
     net = T.net
     n = net.n
     if T.origin != 0:
@@ -255,8 +259,7 @@ def origin_stabilizer_automorphisms(T):
     group = PermGroup(gens, degree=n)
     if group.order != stab.order:
         raise InternalError("alpha group order mismatch")
-    return StabilizerCorrespondence(group=group,
-                                    alphas=group.element_array())
+    return StabilizerCorrespondence(group=group)
 
 
 def induced_automorphism_check(T, alpha):

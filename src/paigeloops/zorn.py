@@ -16,6 +16,7 @@ field's operation tables; the scalar Octonion class rides on top of them.
 
 import numpy as np
 
+from . import config
 from .config import NORM_ONE_MAX_Q
 from .errors import DomainError, InternalError, LimitError
 from .gf import field
@@ -285,10 +286,17 @@ def check_composition(F, mode="full", n_samples=1_000_000, seed=0):
     """Sweep N(xy) = N(x) N(y) over pairs of octonions.
 
     Full mode covers all q^16 pairs (bounded to q <= 2); sample mode draws
-    coordinate pairs from a seeded generator.  Returns
-    (passed, pairs_checked, counterexample) where the counterexample is a
-    coordinate pair (x, y) or None.
+    the coordinates of X and then of Y from a seeded generator, each in
+    one rng.integers(0, q, size=(n_samples, 8)) draw kept in int16, and
+    raises LimitError before drawing when their 16 n_samples cells would
+    pass MAX_TABLE_CELLS.  The pairs are multiplied a block at a time, a
+    pair costing 48 bytes of products, norms and gather indices.  Returns
+    (passed, pairs_checked, counterexample) where the counterexample is
+    the coordinate pair (x, y) of the first failing pair, or None.
     """
+    # _kernels_py imports this module
+    from ._kernels_py import _blocks, _draw_samples
+
     if mode not in ("full", "sample"):
         raise DomainError(f"unknown mode {mode!r}")
     if mode == "sample" and n_samples < 1:
@@ -303,16 +311,23 @@ def check_composition(F, mode="full", n_samples=1_000_000, seed=0):
         X = np.repeat(grid, m, axis=0)
         Y = np.tile(grid, (m, 1))
     else:
+        if 16 * n_samples > config.MAX_TABLE_CELLS:
+            raise LimitError(
+                f"{n_samples} sampled pairs need {16 * n_samples} cells, "
+                f"over {config.MAX_TABLE_CELLS}",
+                bound=config.MAX_TABLE_CELLS)
         rng = np.random.default_rng(seed)
-        X = rng.integers(0, q, size=(n_samples, 8)).astype(np.int16)
-        Y = rng.integers(0, q, size=(n_samples, 8)).astype(np.int16)
-    lhs = oct_norm(F, oct_mul(F, X, Y))
-    rhs = F.mul_table[oct_norm(F, X), oct_norm(F, Y)]
-    bad = np.nonzero(lhs != rhs)[0]
-    if len(bad):
-        i = int(bad[0])
-        return False, len(X), (tuple(int(c) for c in X[i]),
-                               tuple(int(c) for c in Y[i]))
+        X = _draw_samples(rng, q, (n_samples, 8), np.int16)
+        Y = _draw_samples(rng, q, (n_samples, 8), np.int16)
+    for lo, hi in _blocks(0, len(X), 48):
+        x, y = X[lo:hi], Y[lo:hi]
+        lhs = oct_norm(F, oct_mul(F, x, y))
+        rhs = F.mul_table[oct_norm(F, x), oct_norm(F, y)]
+        bad = np.flatnonzero(lhs != rhs)
+        if len(bad):
+            i = lo + int(bad[0])
+            return False, len(X), (tuple(int(c) for c in X[i]),
+                                   tuple(int(c) for c in Y[i]))
     return True, len(X), None
 
 

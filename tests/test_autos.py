@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from paigeloops import autos, config, loops
+from paigeloops import _kernels_py, autos, config, loops
 from paigeloops import (DomainError, FiniteLoop, LimitError,
                         LoopAutomorphism, Permutation, aut_backtrack,
                         aut_summary, conjugation_autos, field,
@@ -41,7 +41,8 @@ def test_validator_chunks_agree(monkeypatch, conj2, paige2):
     n = len(paige2)
     verdicts = []
     for rows in (n, 7):
-        monkeypatch.setattr(autos, "_CHECK_ROWS", rows)
+        # a row of the check costs 16 bytes a cell
+        monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", rows * 16 * n)
         verdicts.append([is_loop_automorphism(paige2, m) for m in maps])
     assert verdicts[0] == verdicts[1] == [True] * (len(maps) - 1) + [False]
 
@@ -57,7 +58,7 @@ def test_validator_reads_the_last_block(monkeypatch, conj2, paige2):
     # g(T'[n-1, c]) = g(T[n-1, 0]) != g(T[n-1, c]) = T'[n-1, g(c)]
     table[n - 1, c] = table[n - 1, 0]
     bent = FiniteLoop(table, _validated=True)
-    monkeypatch.setattr(autos, "_CHECK_ROWS", n - 1)
+    monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", (n - 1) * 16 * n)
     assert is_loop_automorphism(paige2, g)
     assert not is_loop_automorphism(bent, g)
 
@@ -116,9 +117,9 @@ RAGGED7 = [[0, 1, 2, 3, 4, 5, 6], [1, 2, 6, 5, 3, 4, 0],
 def test_programs_reach_each_subloop(monkeypatch, s3, paige2):
     """Each round multiplies points known before it, adds only new
     points, and the rounds of level l end at <g0..gl>, with blocks of
-    the default size and of two cells."""
-    for cells in (autos._CHECK_CELLS, 2):
-        monkeypatch.setattr(autos, "_CHECK_CELLS", cells)
+    the default size and of two cells (16 bytes each)."""
+    for budget in (_kernels_py._BLOCK_BYTES, 2 * 16):
+        monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", budget)
         for L in (c2_5(), s3_s3(s3), paige2, loop_from_table(RAGGED7)):
             T = L.table
             orders = np.array([loops.element_order(L, x)
@@ -146,8 +147,9 @@ def test_search_in_small_blocks(monkeypatch, s3, paige2):
     for L in (c2_5(), s3_s3(s3), paige2):
         want = aut_backtrack(L)
         with monkeypatch.context() as m:
-            m.setattr(autos, "_CHECK_CELLS", 3)
-            m.setattr(autos, "_CHECK_ROWS", 1)
+            # three cells of 16 bytes: one row of every check, and closure
+            # blocks of three products when a round multiplies by one point
+            m.setattr(_kernels_py, "_BLOCK_BYTES", 3 * 16)
             got = aut_backtrack(L)
         assert got.order == want.order
         assert all(p in want for p in got.generators)
@@ -338,7 +340,8 @@ def test_conjugation_full_checks_only_growing_maps(monkeypatch, conj2):
 
 
 def test_conjugation_progress_per_chunk(monkeypatch, paige2):
-    monkeypatch.setattr(autos, "_CHUNK_CELLS", 16 * len(paige2))
+    # 16 units a chunk, each costing its row of int32 images
+    monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", 16 * 4 * len(paige2))
     seen = []
     c = conjugation_autos(field(2), paige2,
                           progress=lambda done, total: seen.append(

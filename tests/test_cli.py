@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from paigeloops import (LimitError, PermGroup, cli, config, load_tbl, loops,
+from paigeloops import (LimitError, PermGroup, aut_summary, cli, config,
+                        load_tbl, loops, origin_stabilizer_automorphisms,
                         save_tbl)
 from paigeloops import _kernels_py
 
@@ -290,9 +291,11 @@ def test_report_all_skips_simplicity_when_refused(monkeypatch, capsys):
     assert "loop_simple" not in {r["check"] for r in rows}
 
 
-def test_aut_count_stabilizer_refuses_the_listing(monkeypatch):
-    # M*(2)'s 14,400-cell table fits, its 12,096 x 120 maps do not: the
-    # listing is asked for and refuses before it fills a transversal
+def test_aut_count_stabilizer_refuses_the_listing(monkeypatch, capsys,
+                                                  tri2):
+    # M*(2)'s 14,400-cell table fits, its 12,096 x 120 maps do not: aut
+    # count reads the stabilizer's order and lists nothing, and .alphas
+    # refuses the listing before it fills a transversal
     events = []
     listing = PermGroup.element_array
     fill = _kernels_py.transversal_fill
@@ -313,9 +316,44 @@ def test_aut_count_stabilizer_refuses_the_listing(monkeypatch):
     monkeypatch.setattr(PermGroup, "element_array", recorded)
     monkeypatch.setattr(_kernels_py, "transversal_fill", counted_fill)
     assert cli.run(["aut", "count", "--q", "2", "--method",
-                    "stabilizer"]) == 3
-    assert "fill" in events
-    assert events[events.index("list"):] == ["list", "refused"]
+                    "stabilizer"]) == 0
+    assert capsys.readouterr().out.split() == ["12096"]
+    assert "fill" in events and "list" not in events
+    sc = origin_stabilizer_automorphisms(tri2())
+    assert sc.count == 12_096
+    events.clear()
+    with pytest.raises(LimitError):
+        sc.alphas
+    assert events == ["list", "refused"]
+
+
+def test_past_the_cell_bound_exits_3(tmp_path, paige2, capsys,
+                                     traced_peak):
+    """600 million sampled triples (1.8 * 10^9 cells), 5 * 10^7 sampled
+    pairs (8 * 10^8 cells) and a table file of order 17,321 are refused
+    before anything of their size is allocated or read."""
+    big = tmp_path / "big.tbl"
+    big.write_text("17321\n")
+    for argv in (["loop", "check", "moufang", "--q", "2", "--mode",
+                  "sample", "--samples", "600000000"],
+                 ["octonion", "check", "composition", "--q", "3", "--mode",
+                  "sample", "--samples", "50000000"],
+                 ["loop", "check", "moufang", "--table", str(big)]):
+        codes = []
+        assert traced_peak(lambda: codes.append(cli.run(argv))) < 1
+        assert codes == [3]
+        assert capsys.readouterr().err.startswith("limit: ")
+
+
+def test_aut_count_stabilizer_at_q3(paige3, capsys):
+    """The origin stabilizer of M*(3) is counted, not listed, by aut count
+    and by aut_summary's stabilizer route."""
+    paige3()    # held, so the CLI and the summary reuse this M*(3)
+    assert cli.run(["aut", "count", "--q", "3", "--method",
+                    "stabilizer"]) == 0
+    assert capsys.readouterr().out.split() == ["4245696"]
+    summary = aut_summary(3, ["stabilizer"])
+    assert summary["computed"] == summary["predicted"] == "4245696"
 
 
 def test_report_all_q2_sections():

@@ -1,11 +1,12 @@
 import gc
 import hashlib
+import math
 import weakref
 
 import numpy as np
 import pytest
 
-from paigeloops import _kernels_py, autos, loops
+from paigeloops import _kernels_py, autos, config, loops
 from paigeloops import (DomainError, InternalError, LimitError,
                         MalformedTableError,
                         NoIdentityAtZeroError, NotLatinError, check_moufang,
@@ -213,9 +214,13 @@ def _unblocked_counterexample(L, n_samples, seed):
     return (idn, int(x[i]), int(y[i]), int(z[i]))
 
 
+# bytes of scratch that one sampled triple of check_moufang costs
+_TRIPLE_BYTES = 32
+
+
 def test_moufang_sample_blocks_keep_the_first_failure(loop5, monkeypatch):
     n = 70_000      # more than one block
-    assert n > loops._SAMPLE_BLOCK
+    assert n > _kernels_py._BLOCK_BYTES // _TRIPLE_BYTES
     for seed in range(3):
         v = check_moufang(loop5, mode="sample", n_samples=n, seed=seed)
         assert v.counterexample == _unblocked_counterexample(loop5, n, seed)
@@ -224,7 +229,8 @@ def test_moufang_sample_blocks_keep_the_first_failure(loop5, monkeypatch):
     # later block than another identity does
     later_wins = 0
     for block in (1, 2, 3):
-        monkeypatch.setattr(loops, "_SAMPLE_BLOCK", block)
+        monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES",
+                            block * _TRIPLE_BYTES)
         for seed in range(20):
             v = check_moufang(loop5, mode="sample", n_samples=40, seed=seed)
             assert v.counterexample == _unblocked_counterexample(loop5, 40,
@@ -239,7 +245,8 @@ def test_moufang_sample_draws_keep_their_triples(paige3, monkeypatch):
     """The blocks handed to _moufang_sides join up to the three single
     int64 draws, in the table's dtype, over an uneven last block."""
     L = paige3()
-    n_samples = 3 * loops._SAMPLE_BLOCK + 17
+    block = _kernels_py._BLOCK_BYTES // _TRIPLE_BYTES
+    n_samples = 3 * block + 17
     seen = []
     sides = loops._moufang_sides
 
@@ -249,7 +256,7 @@ def test_moufang_sample_draws_keep_their_triples(paige3, monkeypatch):
 
     monkeypatch.setattr(loops, "_moufang_sides", recorded)
     assert check_moufang(L, mode="sample", n_samples=n_samples, seed=11)
-    assert [len(b[0]) for b in seen] == [loops._SAMPLE_BLOCK] * 3 + [17]
+    assert [len(b[0]) for b in seen] == [block] * 3 + [17]
     rng = np.random.default_rng(11)
     for k in range(3):
         got = np.concatenate([b[k] for b in seen])
@@ -386,8 +393,7 @@ def test_center_blocks_of_one_row_give_the_same_centers(monkeypatch, s3, c4,
             yield a, b
 
     monkeypatch.setattr(_kernels_py, "_blocks", counted)
-    monkeypatch.setattr(loops, "_LATIN_CELLS", 1)
-    monkeypatch.setattr(_kernels_py, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", 1)
     for k, L in loops_.items():
         assert loop_center(L).tolist() == want[k]
     assert loop_center(M).tolist() == [0, minus_one]
@@ -465,9 +471,9 @@ def test_mlt_generators_are_the_translations(name, s3, paige2):
 
 
 def test_mlt_chain_reads_a_block_of_rows_at_a_time(monkeypatch, paige2):
-    """No read of the translations asks for more than one sift block, here
-    16 rows of M*(2)."""
-    monkeypatch.setattr(_kernels_py, "_BLOCK_CELLS", 16 * 120)
+    """No read of the translations asks for more than one block of rows,
+    each costing 16 bytes a point: here 16 rows of M*(2)."""
+    monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", 16 * 16 * 120)
     asked = []
     getitem = loops._Translations.__getitem__
 
@@ -519,6 +525,36 @@ def test_load_rejects_bad_files(tmp_path):
     bad.write_text("3\n0 1 2\n1 2 0\n")
     with pytest.raises(MalformedTableError):
         load_tbl(bad)
+
+
+def test_load_holds_little_beyond_the_table(tmp_path, paige3, traced_peak):
+    """M*(3)'s 4.6 MB file is parsed a line at a time into its int16
+    table (2.2 MiB); read whole and turned into Python ints it peaked at
+    51.9 MiB."""
+    L = paige3()
+    p = tmp_path / "m3.tbl"
+    save_tbl(L, p)
+    got = []
+    assert traced_peak(lambda: got.append(load_tbl(p))) < \
+        L.n * L.n * 2 / 2**20 + 4
+    assert got[0].table.dtype == np.int16
+    assert (got[0].table == L.table).all() and got[0].labels == L.labels
+
+
+def test_load_checks_the_order_before_any_row(tmp_path):
+    """An order whose table would pass MAX_TABLE_CELLS is refused before
+    the next line, which is no row at all, is read."""
+    big = tmp_path / "big.tbl"
+    big.write_text(f"{math.isqrt(config.MAX_TABLE_CELLS) + 1}\nnot a row\n")
+    with pytest.raises(LimitError):
+        load_tbl(big)
+    big.write_text("3\n0 1 2\n1 2 0\n2 0 1\n0 1 2\n")
+    with pytest.raises(MalformedTableError, match="expected 3 rows, found 4"):
+        load_tbl(big)
+    for row in ("1 2 70000", "1 2 99999999999999999999", "1 2 -1"):
+        big.write_text(f"3\n0 1 2\n{row}\n2 0 1\n")
+        with pytest.raises(MalformedTableError, match="out of range"):
+            load_tbl(big)
 
 
 def test_paige_q_validation():

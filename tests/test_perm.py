@@ -455,7 +455,7 @@ def test_blocks_of_one_row_give_the_same_chain(name, monkeypatch, paige2):
     default = _chain_digest(PermGroup(gens[name]())._build())
     assert max(rows) > 1
     rows.clear()
-    monkeypatch.setattr(_kernels_py, "_BLOCK_CELLS", 1)
+    monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", 1)
     assert _chain_digest(PermGroup(gens[name]())._build()) == default
     assert max(rows) == 1
 

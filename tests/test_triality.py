@@ -277,6 +277,9 @@ def test_paige3_triality_by_default(paige3, monkeypatch):
     assert T.gamma0.basic_orbit_sizes()[:4] == [3, 2, 1080, 1080]
     for entry in verify_triality_axioms(T, samples=100, seed=0):
         assert entry["failures"] == 0, entry
-    # listing the 4,245,696 automorphisms would take 4.6 * 10^9 cells
+    # the order is read from the stabilizer's generators; listing the
+    # 4,245,696 automorphisms would take 4.6 * 10^9 cells
+    sc = origin_stabilizer_automorphisms(T)
+    assert sc.count == sc.group.order == 4_245_696
     with pytest.raises(LimitError):
-        origin_stabilizer_automorphisms(T)
+        sc.alphas

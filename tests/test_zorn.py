@@ -5,6 +5,7 @@ from paigeloops import (DomainError, LimitError, Octonion, check_composition,
                         check_two_unit_decomposition, field, norm_one_array,
                         norm_one_count_formula, norm_one_elements,
                         two_unit_decompose)
+from paigeloops import _kernels_py, zorn
 from paigeloops.zorn import (oct_add, oct_canonical, oct_conj, oct_mul,
                              oct_neg, oct_norm, oct_sub)
 
@@ -113,6 +114,30 @@ def test_composition_sampled():
     for n in (0, -1):
         with pytest.raises(DomainError):
             check_composition(field(3), mode="sample", n_samples=n)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 8])
+def test_composition_draws_in_blocks(q, monkeypatch):
+    """Sample mode draws X and then Y three rows a block (8 int64 draws a
+    row), over an uneven last block, and multiplies four pairs a block
+    (48 bytes a pair): the pairs multiplied are the two one-shot draws."""
+    seen = []
+    mul = zorn.oct_mul
+
+    def recorded(F, x, y):
+        seen.append((x.copy(), y.copy()))
+        return mul(F, x, y)
+
+    monkeypatch.setattr(zorn, "oct_mul", recorded)
+    monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", 3 * 64)
+    assert check_composition(field(q), mode="sample", n_samples=10,
+                             seed=7) == (True, 10, None)
+    assert [len(x) for x, _ in seen] == [4, 4, 2]
+    rng = np.random.default_rng(7)
+    for k in range(2):
+        got = np.concatenate([pair[k] for pair in seen])
+        assert got.dtype == np.int16
+        assert (got == rng.integers(0, q, size=(10, 8))).all()
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
