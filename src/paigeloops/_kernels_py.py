@@ -261,6 +261,14 @@ def _digit_matrices(F, f):
     return _field_digits(F).astype(np.int8)[f(basis)].reshape(-1, m, m)
 
 
+def _floor_mod(P, p):
+    """P mod p in place, exact for float32 integers 0..8k (p - 1)^2: the
+    quotient by p is correctly rounded and floors to the integer one."""
+    Q = P / p
+    P -= np.multiply(np.floor(Q, out=Q), p, out=Q)
+    return P
+
+
 def _linear_images(F, mats, X, addr, out=None):
     """out[i, j] = addr[key of X[j] @ mats[i]], the loop index of Zorn
     matrix X[j] under map i of a _digit_matrices stack, with out made in
@@ -271,9 +279,8 @@ def _linear_images(F, mats, X, addr, out=None):
     their quotients by p in float32, and its key and value, 8 (8k + 2)
     bytes, so a block is 12 maps of M*(3) and 1 of M*(4).  The float32
     arithmetic is exact: a digit of X[j] @ mats[i] before reduction is an
-    integer of at most 8k (p - 1)^2, so its quotient by p is correctly
-    rounded and floors to the integer quotient, and the keys, below q^8,
-    are summed in float32 up to q = 8 and in float64 above."""
+    integer of at most 8k (p - 1)^2, reduced by _floor_mod, and the keys,
+    below q^8, are summed in float32 up to q = 8 and in float64 above."""
     p, k = F.p, F.k
     n, m = len(X), 8 * k
     if out is None:
@@ -288,11 +295,7 @@ def _linear_images(F, mats, X, addr, out=None):
         b = i1 - i0
         # P[j, (i, d)] is digit d of X[j] @ M[i] before reduction mod p
         P = R @ M.transpose(1, 0, 2).reshape(m, b * m).astype(np.float32)
-        Q = P / p
-        np.floor(Q, out=Q)
-        Q *= p
-        P -= Q
-        keys = (P.reshape(n * b, m) @ weights).astype(np.intp)
+        keys = (_floor_mod(P, p).reshape(n * b, m) @ weights).astype(np.intp)
         vals = addr[keys].reshape(n, b)
         if (vals < 0).any():
             raise InternalError("an image fell outside the element list")

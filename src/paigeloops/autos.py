@@ -9,28 +9,26 @@ other candidate image, so it returns generators of the whole group, and
 computes a candidate's map with straight-line programs recorded once
 per loop, and it forms products in blocks of rows from _blocks, so it
 allocates no n x n array beside the table and runs at q = 2, 3
-and 4.  Every map returned by any of them is validated directly by
-is_loop_automorphism, the package's one automorphism validator (the
-triality correspondence uses it too); nothing is trusted on the
-strength of a theorem.  The Frobenius and the conjugations by units are
-GF(p)-linear maps of the algebra, so each is applied as its digit matrix
-by the table fill's kernel, _kernels_py._linear_images.  The conjugation
-scan rejects a unit only on a witness cell T[a, b] that its map breaks,
-and accepts a map either by the full n^2 check or as a member of the
-group generated by maps that passed it.
+and 4.  Each map it returns passes is_loop_automorphism, the one check
+of a map on a Cayley table.  The Frobenius and the unit conjugations
+are GF(p)-linear maps of the algebra, checked there, with no table, by
+_algebra_automorphisms (exact for M*(q) too, see there), and induced on
+the loop by the table fill's kernel, _kernels_py._linear_images.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels_py import _blocks, _digit_matrices, _linear_images
-from .errors import DomainError, InternalError, LimitError
+from ._kernels_py import _blocks, _digit_matrices, _floor_mod, _linear_images
+from .errors import DomainError, InternalError
 from .gf import _factor_prime_power, field
 from .loops import (
     _address_book,
+    _check_table_cells,
     element_order,
     paige_loop,
+    paige_order_formula,
     paige_representatives,
 )
 from .perm import Permutation, PermGroup, _Chain
@@ -217,32 +215,54 @@ def aut_backtrack(L):
 # -- semilinear and linear generators on Paige loops -------------------------
 
 
+def _algebra_automorphisms(F, mats):
+    """Mask of the maps of a _digit_matrices stack that preserve the
+    octonion product: with C[a, b] the digits of e_a e_b for the 8k digit
+    basis vectors, M passes when M C M^T == C M (mod p), f(e_a) f(e_b) ==
+    f(e_a e_b) on all 64k^2 basis pairs.  The product is GF(p)-bilinear,
+    so then f(x y) == f(x) f(y) for all x, y.  The loop product of classes
+    {+-x}{+-y} is the class of x y, so a passing map whose images land in
+    the +-x address book (_linear_images raises InternalError when one
+    does not) is multiplicative on M*(q), and if it is a bijection there,
+    a loop automorphism.  Exact float32 matmuls, each entry at most
+    8k (p - 1)^2 before _floor_mod; a map of a block from _blocks holds
+    three m^3-cell float32 products, a quotient and a bool mask, m = 8k."""
+    p, m = F.p, 8 * F.k
+    C = _digit_matrices(F, lambda B: oct_mul(F, B[:, None], B)).astype(
+        np.float32)
+    ok = np.empty(len(mats), dtype=bool)
+    for i0, i1 in _blocks(0, len(mats), 17 * m ** 3):
+        M = mats[i0:i1].astype(np.float32)
+        # A[i, a, d, e] = digit e of f(e_a) e_d, then f(e_a) f(e_b)
+        A = _floor_mod(M @ C.reshape(m, m * m), p).reshape(-1, m, m, m)
+        left = _floor_mod(M[:, None] @ A, p).reshape(i1 - i0, -1)
+        right = _floor_mod(C.reshape(m * m, m) @ M, p).reshape(i1 - i0, -1)
+        ok[i0:i1] = (left == right).all(axis=1)
+    return ok
+
+
 def frobenius_on_paige(q):
     """The map of M*(q) induced by the field Frobenius x -> x^p applied
-    entrywise to canonical Zorn representatives, checked on all n^2
-    products.  Its GF(p)-linear images are looked up in the address book
-    of +-x keys, so they need no canonical form."""
+    entrywise, checked by _algebra_automorphisms and, as a bijection, by
+    Permutation, with no Cayley table built.  Its images are looked up in
+    the address book of +-x keys, so they need no canonical form."""
     p, k = _factor_prime_power(q)
     if q > 9:
         raise DomainError("supported up to q = 9")
     F = field(q)
-    L = paige_loop(q)    # the table-cell bound refuses q >= 5 before the scan
+    # paige_loop's table-cell bound refuses q >= 5 before the q^8 scan
+    _check_table_cells(paige_order_formula(q))
+    mats = _digit_matrices(F, lambda B: F.frob_table[B])
+    if not _algebra_automorphisms(F, mats)[0]:
+        raise InternalError("Frobenius map failed the algebra check")
     reps = paige_representatives(q)
-    images = _linear_images(F, _digit_matrices(F, lambda B: F.frob_table[B]),
-                            reps, _address_book(F, reps))[0]
-    if not is_loop_automorphism(L, images):
-        raise InternalError("Frobenius map failed the automorphism check")
-    perm = Permutation(images, _checked=True)
+    perm = Permutation(_linear_images(F, mats, reps,
+                                      _address_book(F, reps))[0])
     o = perm.order()
     if k % o != 0 or (k > 1 and o != k):
         raise InternalError("Frobenius permutation order does not match "
                             "the field extension degree")
     return LoopAutomorphism(perm)
-
-
-# Screen cells: the products T[a, b] for a in _SCREEN_A and b in _SCREEN_B.
-_SCREEN_A = np.arange(1, 5)
-_SCREEN_B = np.arange(1, 33)
 
 
 def _conjugation_setup(F):
@@ -265,59 +285,34 @@ def _conjugation_setup(F):
     return mats, reps, _address_book(F, reps)
 
 
-def _screen(F, T, mats, reps, addr):
-    """Mask of the units whose conjugation phi keeps
-    phi(T[a, b]) == T[phi(a), phi(b)] on every screen cell.  A unit that
-    fails has a witness cell, so its map is no automorphism; a unit that
-    passes is only a candidate."""
-    A, B = _SCREEN_A, _SCREEN_B
-    cells = T[np.ix_(A, B)]
-    S, pos = np.unique(np.concatenate([A, B, cells.ravel()]),
-                       return_inverse=True)
-    img = _linear_images(F, mats, reps[S], addr)
-    fa = img[:, pos[:len(A)], None]
-    fb = img[:, None, pos[len(A):len(A) + len(B)]]
-    fab = img[:, pos[len(A) + len(B):].reshape(cells.shape)]
-    return (fab == T[fa, fb]).all(axis=(1, 2))
-
-
-def conjugation_autos(F, L=None, progress=None):
+def conjugation_autos(F, progress=None):
     """The group generated by the conjugations x -> (u x) u^{-1} of M*(q),
     for units u of the split octonions, that are loop automorphisms.
 
     One unit per scalar class is scanned, in chunks from _blocks, a unit
     costing the row of its map's images.  Each conjugation is
-    GF(p)-linear, since the Zorn product is bilinear, and is applied as
-    its digit matrix by _linear_images, at any q.  A unit is
-    rejected when its map breaks a product on one of the screen cells;
-    that cell is a witness.  The maps of the other units are induced in
-    full and sifted into the group built so far.  A member is a product of
-    checked automorphisms and is skipped; a non-member is added only if it
-    passes the full n^2 check.  The returned generators are the maps that
-    grew the group.  L, if given, must be paige_loop(F.q); progress(done,
-    total) is called once per chunk with the number of units scanned."""
-    q = F.q
-    if q not in (2, 3):
-        raise LimitError("unit scan supported at q in {2, 3}", bound=3)
+    GF(p)-linear, since the Zorn product is bilinear: its digit matrix
+    passes _algebra_automorphisms or the unit is dropped.  A chunk's kept
+    maps are induced on M*(q) by _linear_images and sifted into the group
+    built so far; a non-member, once seen to be a bijection, grows it.
+    No Cayley table is read; paige_loop's bound refuses q >= 5 before the
+    scan.  progress(done, total) is called once per chunk with the number
+    of units scanned."""
+    _check_table_cells(paige_order_formula(F.q))
     mats, reps, addr = _conjugation_setup(F)
-    n = len(reps)
-    if L is None:
-        L = paige_loop(q)
-    elif len(L) != n:
-        raise DomainError(f"the loop has {len(L)} elements, M*({q}) has {n}")
-    T = L.table
-    m = len(mats)
+    n, m = len(reps), len(mats)
     ch = _Chain(n)
     added = []
     for start, stop in _blocks(0, m, n * addr.itemsize):
         M = mats[start:stop]
-        keep = _screen(F, T, M, reps, addr)
-        rows = _linear_images(F, M[keep], reps, addr)
+        rows = _linear_images(F, M[_algebra_automorphisms(F, M)], reps, addr)
         i = ch.first_nonmember(rows)
         while i < len(rows):
-            if is_loop_automorphism(L, rows[i]):
-                ch.add_input_generator(rows[i])
-                added.append(rows[i].copy())
+            if np.count_nonzero(np.bincount(rows[i], minlength=n)) < n:
+                raise InternalError("an algebra automorphism induced a map "
+                                    "of M*(q) that is not a bijection")
+            ch.add_input_generator(rows[i])
+            added.append(rows[i].copy())
             i = ch.first_nonmember(rows, i + 1)
         if progress is not None:
             progress(stop, m)
@@ -363,7 +358,7 @@ def aut_summary(q, methods=None):
         if m == "backtrack":
             values[m] = aut_backtrack(L).order
         elif m == "conjugation":
-            values[m] = conjugation_autos(field(q), L).order
+            values[m] = conjugation_autos(field(q)).order
         else:
             from .nets import net_from_loop
             from .triality import build_triality, \

@@ -195,11 +195,14 @@ def test_aut_paige2(monkeypatch, paige2, bfs_order):
 
 def test_aut_paige3_matches_conjugation(paige3):
     """The search reaches |G2(3)|, and its group and the conjugation
-    group contain each other's generators."""
+    group contain each other's generators.  The table check stays the
+    reference for the conjugation route's four generators."""
     L = paige3()
     g = aut_backtrack(L)
     assert g.order == g2_order(3)
-    c = conjugation_autos(field(3), L)
+    c = conjugation_autos(field(3))
+    assert len(c.generators) == 4
+    assert all(is_loop_automorphism(L, p.images) for p in c.generators)
     assert all(p in c for p in g.generators)
     assert all(p in g for p in c.generators)
 
@@ -237,34 +240,73 @@ def test_conjugation_subgroup_at_q2(conj2, aut2, paige2):
         assert is_loop_automorphism(paige2, p.images)
 
 
-def test_conjugation_rejects_large_fields():
+def test_conjugation_rejects_large_fields(monkeypatch):
+    """The table-cell bound refuses q = 5 before the q^8 unit scan."""
+    calls = []
+    scan = loops.norm_one_array
+
+    def counted(F):
+        calls.append(F.q)
+        return scan(F)
+
+    monkeypatch.setattr(loops, "norm_one_array", counted)
     with pytest.raises(LimitError):
-        conjugation_autos(field(4))
+        conjugation_autos(field(5))
+    assert calls == []
 
 
-def test_conjugation_rejects_a_loop_of_the_wrong_order(s3):
-    with pytest.raises(DomainError):
-        conjugation_autos(field(2), s3)
+@pytest.mark.slow
+def test_conjugation_group_at_q4_builds_no_table(monkeypatch, paige4):
+    """The unit conjugations generate G2(4) with no Cayley table built,
+    and the table check, run afterwards, accepts every generator."""
+    built = []
+    build = loops._build_table
+
+    def counted(F, reps):
+        built.append(F.q)
+        return build(F, reps)
+
+    monkeypatch.setattr(loops, "_build_table", counted)
+    c = conjugation_autos(field(4))
+    assert built == []
+    assert c.order == g2_order(4)
+    L = paige4()
+    assert all(is_loop_automorphism(L, p.images) for p in c.generators)
 
 
-def test_conjugation_screen_against_full_check(paige2):
-    """Every screened-out unit has a map that also fails the n^2 check,
-    and the screen keeps exactly the 57 automorphisms of the 120 maps."""
+def test_algebra_check_equals_the_full_check_at_q2(paige2):
+    """On all 120 conjugation maps of M*(2), the algebra check and the
+    n^2 table check give the same verdict, and 57 maps pass."""
     F = field(2)
     mats, reps, addr = autos._conjugation_setup(F)
     maps = _linear_images(F, mats, reps, addr)
     assert len(np.unique(maps, axis=0)) == len(maps) == 120
     full = np.array([is_loop_automorphism(paige2, m) for m in maps])
-    screen = autos._screen(F, paige2.table, mats, reps, addr)
+    algebra = autos._algebra_automorphisms(F, mats)
     assert full.sum() == 57
-    assert not (full & ~screen).any()
-    assert (screen == full).all()
+    assert (algebra == full).all()
+
+
+def test_algebra_check_rejects_every_one_digit_change():
+    """Each of the 729 conjugation matrices that pass at q = 3 fails
+    once any one of its 64 digits is changed to either other value."""
+    F = field(3)
+    mats = autos._conjugation_setup(F)[0]
+    good = mats[autos._algebra_automorphisms(F, mats)]
+    assert len(good) == 729
+    bent = np.repeat(good[:, None], 2 * 64, axis=1).reshape(-1, 64)
+    cell = np.tile(np.repeat(np.arange(64), 2), len(good))
+    shift = np.tile([1, 2], 64 * len(good))
+    rows = np.arange(len(bent))
+    bent[rows, cell] = (bent[rows, cell] + shift) % 3
+    assert not autos._algebra_automorphisms(F, bent.reshape(-1, 8, 8)).any()
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_conjugation_matrices_match_the_zorn_product(q):
     """x @ M is (u x) u^{-1} for every scanned unit u and representative
-    x, so a screen rejection is a witness against the conjugation."""
+    x, so the algebra check and the images it gates are those of the
+    conjugation itself."""
     F = field(q)
     mats, reps, addr = autos._conjugation_setup(F)
     grid = np.indices((q,) * 8).reshape(8, -1).T.astype(np.int16)
@@ -293,18 +335,18 @@ def _int64_images(F, mats, X, addr):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_float32_images_match_an_int64_reference(q):
-    """The float32 images of every scanned unit's map (q = 2, 3), of the
-    fill's left multiplications (every row at q = 2, 3 and every 97th at
-    q = 4) and of the Frobenius equal the int64 reference; the
-    Frobenius images are also those of the entrywise x -> x^p."""
+    """The float32 images of the scanned units' maps, of the fill's left
+    multiplications (every one at q = 2, 3 and every 97th at q = 4) and
+    of the Frobenius equal the int64 reference; the Frobenius images are
+    also those of the entrywise x -> x^p."""
     F = field(q)
     reps = paige_representatives(q)
     addr = loops._address_book(F, reps)
-    X = reps[::1 if q < 4 else 97, None]
+    every = 1 if q < 4 else 97
+    X = reps[::every, None]
     frob = _digit_matrices(F, lambda B: F.frob_table[B])
-    stacks = [_digit_matrices(F, lambda B: oct_mul(F, X, B)), frob]
-    if q < 4:
-        stacks.append(autos._conjugation_setup(F)[0])
+    stacks = [_digit_matrices(F, lambda B: oct_mul(F, X, B)), frob,
+              autos._conjugation_setup(F)[0][::every]]
     step = max(1, (1 << 17) // len(reps))
     for mats in stacks:
         for s in range(0, len(mats), step):
@@ -315,16 +357,9 @@ def test_float32_images_match_an_int64_reference(q):
                           addr[_rep_address(q, F.frob_table[reps])])
 
 
-def test_conjugation_sift_and_check_alone(monkeypatch, paige2):
-    monkeypatch.setattr(
-        autos, "_screen", lambda F, T, mats, *rest: np.ones(len(mats), bool))
-    c = conjugation_autos(field(2), paige2)
-    assert c.order == 6048
-    for p in c.generators:
-        assert is_loop_automorphism(paige2, p.images)
-
-
 def test_conjugation_full_checks_only_growing_maps(monkeypatch, conj2):
+    """The conjugation route makes no table check at all, and its
+    generators are those of the session's group."""
     calls = []
     check = autos.is_loop_automorphism
 
@@ -334,7 +369,7 @@ def test_conjugation_full_checks_only_growing_maps(monkeypatch, conj2):
 
     monkeypatch.setattr(autos, "is_loop_automorphism", counted)
     c = conjugation_autos(field(2))
-    assert len(calls) <= len(c.generators) + 4
+    assert calls == []
     assert [p.images.tolist() for p in c.generators] == \
         [p.images.tolist() for p in conj2().generators]
 
@@ -343,7 +378,7 @@ def test_conjugation_progress_per_chunk(monkeypatch, paige2):
     # 16 units a chunk, each costing its row of int32 images
     monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", 16 * 4 * len(paige2))
     seen = []
-    c = conjugation_autos(field(2), paige2,
+    c = conjugation_autos(field(2),
                           progress=lambda done, total: seen.append(
                               (done, total)))
     assert c.order == 6048
@@ -375,9 +410,23 @@ def test_frobenius_trivial_on_prime_fields():
     assert a3.order == 1
 
 
+def test_frobenius_on_gf4_builds_no_table(monkeypatch):
+    built = []
+    build = loops._build_table
+
+    def counted(F, reps):
+        built.append(F.q)
+        return build(F, reps)
+
+    monkeypatch.setattr(loops, "_build_table", counted)
+    assert frobenius_on_paige(4).order == 2
+    assert built == []
+
+
 @pytest.mark.slow
 def test_frobenius_on_gf4_has_order_two(monkeypatch, paige4):
-    paige4()
+    """No table check runs inside the call; the table check, run
+    afterwards, accepts the map."""
     calls = []
     check = autos.is_loop_automorphism
 
@@ -389,7 +438,8 @@ def test_frobenius_on_gf4_has_order_two(monkeypatch, paige4):
     a = frobenius_on_paige(4)
     assert a.order == 2
     assert a(0) == 0
-    assert len(calls) == 1
+    assert calls == []
+    assert check(paige4(), a.perm.images)
 
 
 def test_frobenius_bounds():

@@ -168,6 +168,12 @@ def test_aut_count_limit_exits_3():
     assert "limit" in out.stderr
 
 
+def test_aut_count_conjugation_limit_exits_3():
+    out = run_cli("aut", "count", "--method", "conjugation", "--q", "5")
+    assert out.returncode == 3
+    assert "limit" in out.stderr
+
+
 def test_aut_count_q3_is_exhaustive(monkeypatch, capsys):
     """The exhaustive search is the default method at q = 3 too."""
     searched = []
