@@ -1,7 +1,8 @@
 """Numpy kernels for the permutation engine and the Paige table fill.
 
-Data layout shared with the stabilizer-chain driver, all int32 and
-C-contiguous:
+Data layout shared with the stabilizer-chain driver, C-contiguous and
+int32 but for the transversal caches, which hold points in the point
+dtype (_point_dtype):
 
 - a permutation is an image array p with p[i] = image of point i;
   compose(p, q) applies p first, then q.
@@ -19,9 +20,10 @@ permutations, reduced level by level together.  At each level, row r is
 composed with row pos[x_r] of uinv, x_r its image of the base, in one
 flat gather from uinv.ravel() at h[r] + pos[x_r] * d.  A row that sticks
 at a level, or ends reduced but not the identity, is the block's answer,
-and the rows after it are dropped.  A sift row costs 16 d bytes (the
-row, its int32 indices and their intp copy), 60 rows a block at d =
-1,080.  A sweep stops early only at a residue, which happens a few dozen
+and the rows after it are dropped.  A sift row costs _sift_row_bytes(d):
+the row, its int32 indices, their intp copy and the gather in the cache's
+dtype, 18 d bytes below 32,768 points (53 rows a block at d = 1,080) and
+20 d above.  A sweep stops early only at a residue, which happens a few dozen
 times a chain at most, so few rows are sifted in vain.  A single row is
 a block of one.
 
@@ -52,6 +54,17 @@ import numpy as np
 
 from .errors import InternalError
 from .zorn import oct_mul
+
+
+def _point_dtype(n):
+    """The dtype that holds the points 0..n-1 of a table or a transversal
+    cache: int16 up to n = 32,767, int32 above."""
+    return np.int16 if n <= 32767 else np.int32
+
+
+def _sift_row_bytes(d):
+    """What one row of a sift block holds at degree d (see above)."""
+    return (16 + np.dtype(_point_dtype(d)).itemsize) * d
 
 
 def compose(p, q):
@@ -132,7 +145,8 @@ def transversal_fill(gs, sv, pos, orbit, norbit, base, uinv):
     u_y^{-1} is g_edge^{-1} then u_parent^{-1}, so a point's row is a
     gather of its parent's row.  The tree is filled a layer at a time,
     each point once its parent is, in blocks of rows that are one flat
-    gather each."""
+    gather each, a row costing its int32 edge row, its intp indices and
+    the gather in uinv's dtype."""
     d = len(sv)
     uinv[pos[base]] = np.arange(d, dtype=np.int32)
     pts = orbit[:norbit]
@@ -148,7 +162,7 @@ def transversal_fill(gs, sv, pos, orbit, norbit, base, uinv):
         ready = todo[filled[parent[todo]]]
         if not len(ready):
             raise RuntimeError("disconnected Schreier tree")
-        for lo, hi in _blocks(0, len(ready), 16 * d):
+        for lo, hi in _blocks(0, len(ready), (12 + uinv.itemsize) * d):
             ys = ready[lo:hi]
             # row y[j] = row parent(y)[g_edge^{-1}(j)]
             idx = gs[sv[ys] ^ 1] + (pos[parent[ys]].astype(np.intp)
@@ -182,9 +196,10 @@ def sift_run(h, start, bases, uinvs, poss):
             break
         # row r becomes h[r] then u_x^{-1} (u_base^{-1} is the identity);
         # a cache has under 2^31 cells, so the int32 indices are in range
-        # and "clip" only skips the bounds check
+        # and "clip" only skips the bounds check; take(out=) refuses an
+        # int32 out for an int16 cache, so the gather is copied into h
         idx = h[:live] + (pos * d)[:, None]
-        uinvs[lev].ravel().take(idx, out=h[:live], mode="clip")
+        h[:live] = uinvs[lev].ravel().take(idx, mode="clip")
     moved = np.flatnonzero(
         (h[:live] != np.arange(d, dtype=h.dtype)).any(axis=1))
     if len(moved):
@@ -209,7 +224,8 @@ def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
       swept before p is reached and found in that group, which only
       grows.
     t = u_p s is scattered from the cached u_p^{-1} without inverting it:
-    t[u_p^{-1}(y)] = s(y).  Returns (next position, None) when the run
+    t[u_p^{-1}(y)] = s(y), its indices made and freed before the sift, so
+    a row costs a sift row.  Returns (next position, None) when the run
     completes, or (failing position, residue) at the first nontrivial
     residue.
     """
@@ -221,7 +237,7 @@ def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
     u = uinvs[lev]
     nstop = norbits[lev]
     involution = bool((srow == genstacks[lev][2 * gi + 1]).all())
-    for lo, hi in _blocks(startpos, nstop, 16 * d):
+    for lo, hi in _blocks(startpos, nstop, _sift_row_bytes(d)):
         ps = orbit[lo:hi]
         sps = srow[ps]
         build = (sv[sps] != 2 * gi) & (sv[ps] != 2 * gi + 1)
@@ -232,10 +248,10 @@ def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
         if not k:
             continue
         # one flat scatter: t[r, u_p^{-1}(y)] = s(y) for row r of p
+        # (the int16 rows of a cache widen to int32 in the sum)
         t = np.empty((k, d), dtype=np.int32)
-        idx = u[keep]
-        idx += (np.arange(k, dtype=np.int32) * d)[:, None]
-        t.ravel()[idx] = np.broadcast_to(srow, (k, d))
+        t.ravel()[u[keep] + (np.arange(k, dtype=np.int32) * d)[:, None]] = \
+            np.broadcast_to(srow, (k, d))
         i, _ = sift_run(t, lev, bases, uinvs, poss)
         if i < k:
             return int(keep[i]), t[i].copy()

@@ -352,7 +352,9 @@ def aut_summary(q, methods=None):
     for m in methods:
         if m not in ("backtrack", "conjugation", "stabilizer"):
             raise DomainError(f"unknown method {m!r}")
-    L = paige_loop(q)
+    # the conjugation route reads no table, so the loop is built only
+    # for the other two
+    L = paige_loop(q) if {"backtrack", "stabilizer"} & set(methods) else None
     values = {}
     for m in methods:
         if m == "backtrack":

@@ -50,7 +50,7 @@ class FiniteLoop:
             raise MalformedTableError("empty table")
         if table.size and (table.min() < 0 or table.max() >= n):
             raise MalformedTableError("entry out of range")
-        dtype = np.int16 if n <= 32767 else np.int32
+        dtype = _kernels._point_dtype(n)
         table = np.ascontiguousarray(table, dtype=dtype)
         if not _validated:
             _check_latin(table)
@@ -186,9 +186,9 @@ def _address_book(F, reps):
 def _build_table(F, reps):
     n = len(reps)
     _check_table_cells(n)
-    dtype = np.int16 if n <= 32767 else np.int32
     return _kernels.paige_table(F, reps, _address_book(F, reps),
-                                np.empty((n, n), dtype=dtype))
+                                np.empty((n, n),
+                                         dtype=_kernels._point_dtype(n)))
 
 
 def _labels(F, reps):
@@ -449,7 +449,7 @@ class _Translations:
     """The nonidentity translations of a loop, read off its table T as a
     row sequence: L_a = T[a] for a = 1..n-1, then R_a = T[:, a] for
     a = 1..n-1.  It has len(), and int and slice indexing, which return
-    int32 copies of just the rows asked for."""
+    int32 copies of just the rows asked for, read as basic slices of T."""
 
     def __init__(self, table):
         self.table = table
@@ -463,11 +463,21 @@ class _Translations:
         if not isinstance(key, slice):
             i = range(2 * m)[key]
             return (T[1 + i] if i < m else T[:, 1 + i - m]).astype(np.int32)
-        idx = np.arange(2 * m)[key]
-        left = idx < m
-        out = np.empty((len(idx), len(T)), dtype=np.int32)
-        out[left] = T.take(1 + idx[left], axis=0)
-        out[~left] = T.take(1 + idx[~left] - m, axis=1).T
+        r = range(2 * m)[key]
+        # the indices on r[0]'s side of m lead r: r[:k] is on one side and
+        # r[k:] on the other, and each is one basic slice of T
+        k = len(range(r.start, min(r.stop, m) if r.step > 0
+                      else max(r.stop, m - 1), r.step))
+        out = np.empty((len(r), len(T)), dtype=np.int32)
+        for a, b in ((0, k), (k, len(r))):
+            s = r[a:b]
+            if not s:
+                continue
+            off = 1 if s[0] < m else 1 - m
+            # off + s[-1] >= 1, so the stop is never a negative index
+            cut = slice(off + s[0], off + s[-1] + (1 if s.step > 0 else -1),
+                        s.step)
+            out[a:b] = T[cut] if s[0] < m else T[:, cut].T
         return out
 
 
@@ -568,8 +578,7 @@ def load_tbl(path):
             raise MalformedTableError("first line must be the order") from None
         if n > 0:
             _check_table_cells(n)
-        table = np.empty((max(n, 0),) * 2,
-                         dtype=np.int16 if n <= 32767 else np.int32)
+        table = np.empty((max(n, 0),) * 2, dtype=_kernels._point_dtype(n))
         found = 0
         for ln in lines:
             if found < n:

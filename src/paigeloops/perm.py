@@ -17,31 +17,33 @@ H^(i) with i <= l, where it would add no element and no orbit point but
 extend without relabeling existing points, so per-generator sweep cursors
 stay valid and each Schreier generator is swept exactly once.  Every sift
 reads the transversal-inverse cache u_p^{-1}, filled a level at a time
-from the Schreier tree when that level's orbit has grown; a fill that
-would take the chain's cache past MAX_TABLE_CELLS raises LimitError
-before it allocates.  A Schreier generator u_p s u_{s(p)}^{-1} on an
-edge of the Schreier tree is the identity by construction and is
-skipped, and so is, for an involution s, one whose inverse, the
-generator at s(p), was swept first; every other one is sifted once, in
-blocks of rows that give each row exactly the residue of its own sift,
-and a sweep stops at the first nontrivial residue in orbit-position
-order.  A chain built from inputs first installs two words, the product
-of the inputs at even positions and that of the inputs at odd positions,
-each in input order, and then sifts every input in blocks: members are
-skipped, and the first non-member is installed before the rest are
-sifted.  The answer stays exact: each word is a product of inputs, so it
-lies in <inputs>, and every input is still sifted and installed if it is
-not a member, so the chain's group is <inputs> whether or not the words
-generate it.  The words only make it likely that most inputs sift as
-members, which saves the Schreier generators each installed input would
-bring (the random subproduct idea of Babai, Cooperman, Finkelstein, Luks
-and Seress, JCSS 50, 1995, made deterministic).  With one or two inputs
-the words are the inputs themselves, in order.  The inputs are read as
-rows, one block of rows (see _kernels_py._blocks) at a time, by the
-words, the scan for the first base point, the orbit search and the
-member sifts, each counting 16 d bytes a row as the sifts do, so inputs
-that are a loop's table rows and columns, as for Mlt(L), are never all
-copied at once.
+from the Schreier tree when that level's orbit has grown, in the point
+dtype (int16 up to degree 32,767, int32 above), while generators, orbits
+and sifted rows stay int32; a fill that would take the chain's cache
+past MAX_TABLE_CELLS cells raises LimitError before it allocates.  A
+Schreier generator u_p s u_{s(p)}^{-1} on an edge of the Schreier tree
+is the identity by construction and is skipped, and so is, for an
+involution s, one whose inverse, the generator at s(p), was swept first;
+every other one is sifted once, in blocks of rows that give each row
+exactly the residue of its own sift, and a sweep stops at the first
+nontrivial residue in orbit-position order.  A chain built from inputs
+first installs two words, the product of the inputs at even positions
+and that of the inputs at odd positions, each in input order, and then
+sifts every input in blocks: members are skipped, and the first
+non-member is installed before the rest are sifted.  The answer stays
+exact: each word is a product of inputs, so it lies in <inputs>, and
+every input is still sifted and installed if it is not a member, so the
+chain's group is <inputs> whether or not the words generate it.  The
+words only make it likely that most inputs sift as members, which saves
+the Schreier generators each installed input would bring (the random
+subproduct idea of Babai, Cooperman, Finkelstein, Luks and Seress, JCSS
+50, 1995, made deterministic).  With one or two inputs the words are the
+inputs themselves, in order.  The inputs are read as rows, one block of
+rows (see _kernels_py._blocks) at a time, by the words, the scan for the
+first base point, the orbit search and the member sifts, each counting a
+sift row (_kernels_py._sift_row_bytes, 18 d bytes below degree 32,768)
+as the sifts do, so inputs that are a loop's table rows and columns, as
+for Mlt(L), are never all copied at once.
 Base points: level 0 uses the least point moved by any input generator
 (or a caller-forced point for stabilizer base changes); each deeper level
 uses the least point moved by the residue that created it.
@@ -196,7 +198,8 @@ def _words(rows):
     the words are the rows themselves."""
     words = []
     d = len(rows[0]) if len(rows) else 1
-    for lo, hi in _kernels._blocks(0, len(rows), 16 * d):
+    for lo, hi in _kernels._blocks(0, len(rows),
+                                   _kernels._sift_row_bytes(d)):
         for i, r in enumerate(np.asarray(rows[lo:hi], dtype=np.int32), lo):
             if i < 2:
                 words.append(r.copy())
@@ -247,7 +250,8 @@ class _Chain:
 
     def cache(self, start=0):
         """The transversal-inverse caches, with levels start.. filled:
-        row pos[x] of uinvs[l] is u_x^{-1}.  Raises LimitError before
+        row pos[x] of uinvs[l] is u_x^{-1}, in the point dtype of the
+        degree (_kernels_py._point_dtype).  Raises LimitError before
         allocating a level that would take the chain's cache past
         MAX_TABLE_CELLS cells."""
         for l in range(start, self.nlevels()):
@@ -261,7 +265,7 @@ class _Chain:
                     f"the transversal cache of a chain of degree {self.d} "
                     f"needs {cells} cells, over {config.MAX_TABLE_CELLS}",
                     bound=config.MAX_TABLE_CELLS)
-            u = np.empty((rows, self.d), dtype=np.int32)
+            u = np.empty((rows, self.d), dtype=_kernels._point_dtype(self.d))
             _kernels.transversal_fill(self.genstacks[l], self.svs[l],
                                       self.poss[l], self.orbits[l], rows,
                                       self.bases[l], u)
@@ -360,7 +364,8 @@ class _Chain:
         """Index of the first of rows[start:] outside the group, or
         len(rows).  Copies of the rows are sifted in blocks."""
         uinvs = self.cache()
-        for lo, hi in _kernels._blocks(start, len(rows), 16 * self.d):
+        for lo, hi in _kernels._blocks(start, len(rows),
+                                         _kernels._sift_row_bytes(self.d)):
             h = np.array(rows[lo:hi], dtype=np.int32)
             i, _ = _kernels.sift_run(h, 0, self.bases, uinvs, self.poss)
             if i < len(h):
@@ -377,10 +382,12 @@ class _Chain:
         return self.first_nonmember([images]) == 1
 
     def transversal_elem(self, l, posi):
-        """u: bases[l] -> orbit point at position posi, as an image array."""
-        return _kernels.invert(self.cache(l)[l][posi])
+        """u: bases[l] -> orbit point at position posi, as an int32 image
+        array."""
+        return _kernels.invert(self.cache(l)[l][posi].astype(np.int32))
 
     def random_element(self, rng):
+        """One uniform element, an int32 image array, drawn from rng."""
         t = None
         for l in range(self.nlevels() - 1, -1, -1):
             posi = int(rng.integers(0, self.norbits[l]))
@@ -508,7 +515,8 @@ class PermGroup:
         if not ch.nlevels():
             # the least point any input moves, read off blocks of rows
             first = d
-            for lo, hi in _kernels._blocks(0, len(rows), 16 * d):
+            for lo, hi in _kernels._blocks(0, len(rows),
+                                           _kernels._sift_row_bytes(d)):
                 moved = (np.asarray(rows[lo:hi]) != np.arange(d)).any(
                     axis=0)
                 if moved.any():
@@ -571,7 +579,8 @@ class PermGroup:
         frontier = np.flatnonzero(reached)
         while len(frontier):
             hit = np.zeros(d, dtype=bool)
-            for lo, hi in _kernels._blocks(0, len(self._rows), 16 * d):
+            for lo, hi in _kernels._blocks(0, len(self._rows),
+                                             _kernels._sift_row_bytes(d)):
                 hit[np.asarray(self._rows[lo:hi])[:, frontier]] = True
             frontier = np.flatnonzero(hit & ~reached)
             reached |= hit

@@ -481,6 +481,29 @@ def test_aut_summary_exact_q3(paige3):
                  "methods": ["backtrack", "conjugation"], "match": True}
 
 
+def test_aut_summary_conjugation_builds_no_loop(monkeypatch):
+    """The conjugation route reads no table, so asking for it alone
+    builds no Cayley table and asks for no loop, whether or not one is
+    held."""
+    built, asked = [], []
+    build, loop = loops._build_table, autos.paige_loop
+
+    def counted_build(F, reps):
+        built.append(F.q)
+        return build(F, reps)
+
+    def counted_loop(q):
+        asked.append(q)
+        return loop(q)
+
+    monkeypatch.setattr(loops, "_build_table", counted_build)
+    monkeypatch.setattr(autos, "paige_loop", counted_loop)
+    s = aut_summary(3, methods=["conjugation"])
+    assert s == {"q": 3, "computed": "4245696", "predicted": "4245696",
+                 "methods": ["conjugation"], "match": True}
+    assert built == [] and asked == []
+
+
 def test_aut_summary_single_method(conj2):
     s = aut_summary(2, methods=["conjugation"])
     assert s["computed"] == "6048"

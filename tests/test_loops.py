@@ -472,8 +472,8 @@ def test_mlt_generators_are_the_translations(name, s3, paige2):
 
 def test_mlt_chain_reads_a_block_of_rows_at_a_time(monkeypatch, paige2):
     """No read of the translations asks for more than one block of rows,
-    each costing 16 bytes a point: here 16 rows of M*(2)."""
-    monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", 16 * 16 * 120)
+    each costing a sift row, 18 bytes a point: here 16 rows of M*(2)."""
+    monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", 16 * 18 * 120)
     asked = []
     getitem = loops._Translations.__getitem__
 
@@ -492,14 +492,14 @@ def test_mlt_chain_reads_a_block_of_rows_at_a_time(monkeypatch, paige2):
 
 def test_mlt_paige3_chain_stays_near_its_cache(paige3, traced_peak):
     """|Mlt(M*(3))| is built from the table's rows and columns: the peak
-    is the transversal cache of its chain, one row per basic-orbit point
-    (7.24 MiB), and a few blocks, where 2,158 int32 translation copies
-    took it to 18.0 MiB."""
+    is the transversal cache of its chain, one int16 row per basic-orbit
+    point (3.62 MiB; 7.24 MiB in int32), and a few blocks, where 2,158
+    int32 translation copies took it to 18.0 MiB."""
     L = paige3()
     got = []
     peak = traced_peak(lambda: got.append(multiplication_group(L).order))
     assert got == [4_952_179_814_400]
-    cache = sum([1080, 351, 224, 60, 27, 12, 3]) * L.n * 4 / 2**20
+    cache = sum([1080, 351, 224, 60, 27, 12, 3]) * L.n * 2 / 2**20
     assert peak < cache + 2
 
 

@@ -508,11 +508,13 @@ def test_sweep_hands_no_tree_edge_to_the_sift(monkeypatch, paige2):
 
 
 @pytest.mark.parametrize("name", ["S6", "A6", "Mlt(M*(2))"])
-def test_transversal_fill_inverts_the_tree_walks(name, paige2):
-    """Each row of a filled level, built a tree layer at a time, is the
-    inverse of the transversal element walked from the Schreier tree: the
-    edge labels from the point back to the base, applied from the base
-    out."""
+@pytest.mark.parametrize("dtype", [np.int16, np.int32],
+                         ids=["int16", "int32"])
+def test_transversal_fill_inverts_the_tree_walks(dtype, name, paige2):
+    """Each row of a filled level, built a tree layer at a time in either
+    cache dtype, is the inverse of the transversal element walked from
+    the Schreier tree: the edge labels from the point back to the base,
+    applied from the base out."""
     gens = {"S6": _s6, "A6": _a6,
             "Mlt(M*(2))": lambda: multiplication_group(paige2).generators}
     ch = PermGroup(gens[name]())._build()
@@ -520,7 +522,7 @@ def test_transversal_fill_inverts_the_tree_walks(name, paige2):
     for l in range(ch.nlevels()):
         gs, sv, base = ch.genstacks[l], ch.svs[l], ch.bases[l]
         rows = ch.norbits[l]
-        uinv = np.empty((rows, ch.d), dtype=np.int32)
+        uinv = np.empty((rows, ch.d), dtype=dtype)
         _kernels_py.transversal_fill(gs, sv, ch.poss[l], ch.orbits[l], rows,
                                      base, uinv)
         for posi in range(rows):
@@ -535,6 +537,48 @@ def test_transversal_fill_inverts_the_tree_walks(name, paige2):
             assert u[base] == ch.orbits[l][posi]
             assert (uinv[posi][u] == ident).all()
             assert (ch.transversal_elem(l, posi) == u).all()
+
+
+def _two_point_orbits(d):
+    """Two commuting transpositions of degree d: a chain of two levels
+    with two-point orbits, so its cache has 4 rows of d points."""
+    return [Permutation.from_cycles(d, [(0, 1)]),
+            Permutation.from_cycles(d, [(2, 3)])]
+
+
+def test_chain_cache_is_int16_on_mlt_paige3(mlt3):
+    ch = mlt3()._build()
+    try:
+        dtypes = {u.dtype for u in ch.cache()}
+    finally:
+        ch.release_caches()
+    assert ch.d == 1080 and dtypes == {np.dtype(np.int16)}
+
+
+@pytest.mark.parametrize("d, dtype", [(32_767, np.int16),
+                                      (32_768, np.int32),
+                                      (40_000, np.int32)])
+def test_cache_dtype_and_int32_elements(d, dtype):
+    """The cache holds points in int16 up to degree 32,767 and in int32
+    above; the transversal elements, the random elements and the listing
+    are int32 image rows at either dtype."""
+    G = PermGroup(_two_point_orbits(d))
+    ch = G._build()
+    assert ch.norbits == [2, 2]
+    assert [u.dtype for u in ch.cache()] == [dtype, dtype]
+    moved = Permutation.from_cycles(d, [(2, 3)]).images
+    for l in range(2):
+        for posi in range(2):
+            u = ch.transversal_elem(l, posi)
+            assert u.dtype == np.int32
+            assert u[ch.bases[l]] == ch.orbits[l][posi]
+    assert (ch.transversal_elem(1, 1) == moved).all()
+    t = ch.random_element(np.random.default_rng(5))
+    assert t.dtype == np.int32 and Permutation(t) in G
+    E = G.element_array()
+    assert E.dtype == np.int32 and E.shape == (4, d)
+    assert len({row.tobytes() for row in E}) == 4
+    assert all(Permutation(row) in G for row in E)
 
 
 def _tree_depth(ch, l):
