@@ -258,23 +258,17 @@ def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
     return nstop, None
 
 
-def _field_digits(F):
-    """(q, k) array of the base-p digits of each element of GF(q), q = p^k,
-    least significant first: the coefficients that gf encodes it by."""
-    return np.arange(F.q)[:, None] // F.p ** np.arange(F.k) % F.p
-
-
 def _digit_matrices(F, f):
     """The (b, 8k, 8k) int8 stack of the GF(p) matrices of b GF(p)-linear
     maps of octonions over GF(p^k): f takes the (8k, 8) digit basis and
     returns its (b, 8k, 8) images, or (8k, 8) for one map.  An octonion
-    is 8k base-p digits, k per coordinate; basis row r has digit r equal
-    to 1, and row r of a matrix M holds the digits of its image, so x
-    maps to x @ M."""
+    is 8k base-p digits, k per coordinate (F.digits); basis row r has
+    digit r equal to 1, and row r of a matrix M holds the digits of its
+    image, so x maps to x @ M."""
     m = 8 * F.k
     basis = (np.eye(8, dtype=np.int16)[:, None]
              * F.p ** np.arange(F.k, dtype=np.int16)[:, None]).reshape(m, 8)
-    return _field_digits(F).astype(np.int8)[f(basis)].reshape(-1, m, m)
+    return F.digits.astype(np.int8)[f(basis)].reshape(-1, m, m)
 
 
 def _floor_mod(P, p):
@@ -305,7 +299,7 @@ def _linear_images(F, mats, X, addr, out=None):
                * p ** np.arange(k)).ravel()
     weights = weights.astype(np.float32 if F.q ** 8 <= 1 << 24
                              else np.float64)
-    R = _field_digits(F).astype(np.float32).take(X, axis=0).reshape(n, m)
+    R = F.digits.astype(np.float32).take(X, axis=0).reshape(n, m)
     for i0, i1 in _blocks(0, len(mats), 8 * n * (m + 2)):
         M = mats[i0:i1]
         b = i1 - i0

@@ -1,23 +1,27 @@
 """Exact arithmetic in GF(p^k) for small q.
 
-Elements are plain ints 0..q-1.  The int encodes the coefficient vector of the
-representative polynomial in little-endian digit order: value = c0 + c1*p +
-... + c_{k-1}*p^(k-1), so 0 is the additive and 1 the multiplicative identity
-and the natural int order is the canonical element order.  On prime fields the
-int is just the residue.
+Elements are plain ints 0..q-1.  Field.digits[a] holds the base-p digits
+(c0, ..., c_{k-1}) of a, least significant first, a = c0 + c1*p + ... +
+c_{k-1}*p^(k-1): the coefficients of its representative c0 + c1 t + ... +
+c_{k-1} t^(k-1) in GF(p)[t]/(f).  So 0 is the additive and 1 the
+multiplicative identity and the natural int order is the canonical element
+order.  On prime fields the int is just the residue.
 
-The modulus of an extension field is chosen deterministically: the
-lexicographically least irreducible monic polynomial of degree k over GF(p),
-coefficients compared low-degree-first.  All arithmetic goes through
-precomputed numpy tables so bulk code can gather straight from them.
+The modulus f = c0 + ... + c_{k-1} t^(k-1) + t^k is the least candidate,
+(c0, ..., c_{k-1}) compared low-degree-first, whose residue ring
+GF(p)[t]/(f) has no zero divisors: a finite ring without zero divisors is
+a field, and this one is exactly when f is irreducible.  All arithmetic
+goes through precomputed numpy tables so bulk code can gather straight
+from them.
 """
 
 import functools
+import itertools
 
 import numpy as np
 
 from .config import FIELD_MAX_Q
-from .errors import DomainError, LimitError
+from .errors import DomainError, InternalError, LimitError
 
 
 def _factor_prime_power(q):
@@ -37,85 +41,39 @@ def _factor_prime_power(q):
     raise DomainError(f"q = {q} is not a prime power")
 
 
-# -- polynomial helpers over GF(p), little-endian coefficient tuples --------
+def _is_index(a, n):
+    """Whether a is an int (Python or numpy) in 0..n-1."""
+    return isinstance(a, (int, np.integer)) and 0 <= a < n
 
 
-def _pol_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _pol_divmod(a, b, p):
-    """Divide a by b (b monic-izable), return (quotient, remainder)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, p - 2, p)
-    q = [0] * max(1, len(a) - db)
-    while len(a) - 1 >= db and any(a):
-        if a[-1] == 0:
-            a.pop()
-            continue
-        shift = len(a) - 1 - db
-        coef = a[-1] * inv_lb % p
-        q[shift] = coef
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * bi) % p
-        while len(a) > 1 and a[-1] == 0:
-            a.pop()
-    return tuple(q), tuple(a)
-
-
-def _pol_is_irreducible(f, p):
-    """Trial division by every monic polynomial of degree 1..deg(f)//2."""
-    deg = len(f) - 1
-    for d in range(1, deg // 2 + 1):
-        for val in range(p**d):
-            g = _int_to_coeffs(val, p, d) + (1,)
-            _, r = _pol_divmod(f, g, p)
-            if not any(r):
-                return False
-    return True
-
-
-def _int_to_coeffs(val, p, k):
-    out = []
-    for _ in range(k):
-        out.append(val % p)
-        val //= p
-    return tuple(out)
-
-
-def _coeffs_to_int(coeffs, p):
-    val = 0
-    for c in reversed(coeffs):
-        val = val * p + c
-    return val
-
-
-def _least_irreducible(p, k):
-    """Least irreducible monic degree-k poly, low-degree-first lexicographic.
-
-    Candidates are ordered by the tuple (c0, c1, ..., c_{k-1}); the leading
-    coefficient is always 1.
-    """
-    import itertools
-
-    for lower in itertools.product(range(p), repeat=k):
-        f = lower + (1,)
-        if _pol_is_irreducible(f, p):
-            return f
-    raise DomainError(f"no irreducible polynomial of degree {k} over GF({p})")
+def _residue_ring(digits, p, lower):
+    """The add and mul tables of GF(p)[t]/(f), f = lower + t^k, on the
+    elements whose (q, k) digit vectors are digits: a b is the sum of
+    a_i (t^i b), and multiplying by t shifts the digits up one place,
+    the t^k that falls out coming back as -lower (the companion matrix
+    of f)."""
+    k = digits.shape[1]
+    D = digits.astype(np.int64)
+    C = np.eye(k, k, 1, dtype=np.int64)
+    C[-1] -= lower
+    prod = np.zeros((len(D), len(D), k), dtype=np.int64)
+    tb = D
+    for i in range(k):
+        prod += D[:, i, None, None] * tb
+        tb = tb @ C % p
+    weights = p ** np.arange(k)
+    add = (D[:, None] + D[None]) % p @ weights
+    return add, prod % p @ weights
 
 
 class Field:
     """GF(q) with all unary/binary operations tabulated.
 
+    digits is the (q, k) int16 array of the base-p digits of each element,
+    least significant first: the coefficients of its representative in
+    GF(p)[t]/(modulus).  modulus is the least monic degree-k candidate
+    whose residue ring has no zero divisors (see the module docstring), as
+    a low-degree-first coefficient tuple, or None on a prime field.
     Tables (numpy, int16): add/sub/mul are (q, q); neg/inv/frob are (q,).
     inv[0] is -1 and guarded in inv().
     """
@@ -125,55 +83,33 @@ class Field:
         self.q = q
         self.p = p
         self.k = k
-        self.modulus = None if k == 1 else _least_irreducible(p, k)
-
-        if k == 1:
-            idx = np.arange(q, dtype=np.int64)
-            add = (idx[:, None] + idx[None, :]) % p
-            mul = (idx[:, None] * idx[None, :]) % p
+        self.digits = (np.arange(q)[:, None] // p ** np.arange(k)
+                       % p).astype(np.int16)
+        for lower in itertools.product(range(p), repeat=k):
+            add, mul = _residue_ring(self.digits, p, lower)
+            if mul[1:, 1:].all():
+                break
         else:
-            coeff = np.array(
-                [_int_to_coeffs(v, p, k) for v in range(q)], dtype=np.int64
-            )
-            add_c = (coeff[:, None, :] + coeff[None, :, :]) % p
-            add = np.zeros((q, q), dtype=np.int64)
-            for i in range(k):
-                add += add_c[:, :, i] * p**i
-            mul = np.zeros((q, q), dtype=np.int64)
-            for a in range(q):
-                ca = _int_to_coeffs(a, p, k)
-                for b in range(q):
-                    prod = _pol_mul(ca, _int_to_coeffs(b, p, k), p)
-                    _, rem = _pol_divmod(prod, self.modulus, p)
-                    rem = rem + (0,) * (k - len(rem))
-                    mul[a, b] = _coeffs_to_int(rem[:k], p)
+            raise InternalError(
+                f"no irreducible polynomial of degree {k} over GF({p})")
+        self.modulus = None if k == 1 else lower + (1,)
         self.add_table = add.astype(np.int16)
         self.mul_table = mul.astype(np.int16)
-
-        neg = np.zeros(q, dtype=np.int16)
-        inv = np.full(q, -1, dtype=np.int16)
-        for a in range(q):
-            neg[a] = int(np.nonzero(self.add_table[a] == 0)[0][0])
-            hits = np.nonzero(self.mul_table[a] == 1)[0]
-            if len(hits):
-                inv[a] = int(hits[0])
-        self.neg_table = neg
-        self.inv_table = inv
-        self.sub_table = self.add_table[:, neg][np.arange(q)[:, None],
-                                                np.arange(q)[None, :]]
+        self.neg_table = (self.add_table == 0).argmax(axis=1).astype(np.int16)
+        self.sub_table = self.add_table[:, self.neg_table]
+        self.inv_table = (self.mul_table == 1).argmax(axis=1).astype(np.int16)
+        self.inv_table[0] = -1
         # frobenius x -> x^p
-        frob = np.zeros(q, dtype=np.int16)
-        for a in range(q):
-            acc = 1
-            for _ in range(p):
-                acc = int(self.mul_table[acc, a])
-            frob[a] = acc
+        x = np.arange(q)
+        frob = np.ones(q, dtype=np.int16)
+        for _ in range(p):
+            frob = self.mul_table[frob, x]
         self.frob_table = frob
 
     # -- scalar operations ---------------------------------------------------
 
     def check(self, a):
-        if not isinstance(a, (int, np.integer)) or not 0 <= a < self.q:
+        if not _is_index(a, self.q):
             raise DomainError(f"{a!r} is not an element of GF({self.q})")
         return int(a)
 
@@ -202,11 +138,15 @@ class Field:
         return int(self.frob_table[self.check(a)])
 
     def pow(self, a, n):
+        """a^n, with 0^0 = 1; the exponent of a nonzero a is taken mod
+        q - 1, the order of the multiplicative group."""
         a = self.check(a)
-        if n < 0:
-            a, n = self.inv(a), -n
+        if a == 0:
+            if n < 0:
+                raise DomainError("0 has no multiplicative inverse")
+            return int(n == 0)
         acc = 1
-        for _ in range(n):
+        for _ in range(n % (self.q - 1)):
             acc = int(self.mul_table[acc, a])
         return acc
 
@@ -216,13 +156,15 @@ class Field:
         return range(self.q)
 
     def coeffs(self, a):
-        """Little-endian coefficient tuple of a (length k)."""
-        return _int_to_coeffs(self.check(a), self.p, self.k)
+        """Little-endian coefficient tuple of a (length k): digits[a]."""
+        return tuple(self.digits[self.check(a)].tolist())
 
     def from_coeffs(self, coeffs):
-        if len(coeffs) != self.k or any(not 0 <= c < self.p for c in coeffs):
+        """The element whose digits are coeffs, each an int in 0..p-1."""
+        if len(coeffs) != self.k or not all(_is_index(c, self.p)
+                                            for c in coeffs):
             raise DomainError(f"bad coefficient vector {coeffs!r} for GF({self.q})")
-        return _coeffs_to_int(tuple(coeffs), self.p)
+        return sum(int(c) * self.p ** i for i, c in enumerate(coeffs))
 
     def automorphisms(self):
         """The k powers of Frobenius, each as a length-q image array."""

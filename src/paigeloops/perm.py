@@ -39,11 +39,11 @@ the Schreier generators each installed input would bring (the random
 subproduct idea of Babai, Cooperman, Finkelstein, Luks and Seress, JCSS
 50, 1995, made deterministic).  With one or two inputs the words are the
 inputs themselves, in order.  The inputs are read as rows, one block of
-rows (see _kernels_py._blocks) at a time, by the words, the scan for the
-first base point, the orbit search and the member sifts, each counting a
-sift row (_kernels_py._sift_row_bytes, 18 d bytes below degree 32,768)
-as the sifts do, so inputs that are a loop's table rows and columns, as
-for Mlt(L), are never all copied at once.
+rows (see _kernels_py._blocks) at a time, by the words together with the
+scan for the first base point, by the orbit search and by the member
+sifts, each counting a sift row (_kernels_py._sift_row_bytes, 18 d bytes
+below degree 32,768) as the sifts do, so inputs that are a loop's table
+rows and columns, as for Mlt(L), are never all copied at once.
 Base points: level 0 uses the least point moved by any input generator
 (or a caller-forced point for stabilizer base changes); each deeper level
 uses the least point moved by the residue that created it.
@@ -194,18 +194,22 @@ def _lcm(a, b):
 def _words(rows):
     """The product of rows[0::2] and the product of rows[1::2], each
     composed in input order, one composition per row of a block of rows
-    read at once; an empty product is left out.  With one or two rows
-    the words are the rows themselves."""
+    read at once, an empty product left out; and the least point any
+    row moves, or None.  With one or two rows the words are the rows
+    themselves."""
     words = []
     d = len(rows[0]) if len(rows) else 1
+    moved = np.zeros(d, dtype=bool)
     for lo, hi in _kernels._blocks(0, len(rows),
                                    _kernels._sift_row_bytes(d)):
-        for i, r in enumerate(np.asarray(rows[lo:hi], dtype=np.int32), lo):
+        block = np.asarray(rows[lo:hi], dtype=np.int32)
+        moved |= (block != np.arange(d)).any(axis=0)
+        for i, r in enumerate(block, lo):
             if i < 2:
                 words.append(r.copy())
             else:
                 _kernels.compose_into(words[i % 2], r, words[i % 2])
-    return words
+    return words, int(moved.argmax()) if moved.any() else None
 
 
 class _Chain:
@@ -338,20 +342,20 @@ class _Chain:
         i, j = _kernels.sift_run(h, 0, self.bases, self.cache(), self.poss)
         if i:
             return False
-        h = h[0]
-        if self.nlevels() == 0:
-            moved = np.nonzero(h != np.arange(self.d, dtype=np.int32))[0]
-            self.add_level(int(moved[0]))
-        self.insert_gen(h, j)
+        self.insert_gen(h[0], j)
         self.complete_build()
         return True
 
     def add_inputs(self, rows):
-        """Install the two words of rows (see _words), then
-        add_input_generator for each of rows in turn, with the members
-        between two non-members skipped by block sifts.  rows is read
-        by index and by blocks of rows, never whole."""
-        for w in _words(rows):
+        """Install the two words of rows (see _words), on a first level
+        at the least point that rows move if the chain has no level,
+        then add_input_generator for each of rows in turn, with the
+        members between two non-members skipped by block sifts.  rows is
+        read by index and by blocks of rows, never whole."""
+        words, first = _words(rows)
+        if not self.nlevels() and first is not None:
+            self.add_level(first)
+        for w in words:
             self.add_input_generator(w)
         i = self.first_nonmember(rows)
         while i < len(rows):
@@ -507,24 +511,11 @@ class PermGroup:
     def _build(self):
         if self._chain is not None:
             return self._chain
-        d = self.degree
-        ch = _Chain(d)
-        rows = self._rows
+        ch = _Chain(self.degree)
         for b in self._base_hint:
             ch.add_level(b)
-        if not ch.nlevels():
-            # the least point any input moves, read off blocks of rows
-            first = d
-            for lo, hi in _kernels._blocks(0, len(rows),
-                                           _kernels._sift_row_bytes(d)):
-                moved = (np.asarray(rows[lo:hi]) != np.arange(d)).any(
-                    axis=0)
-                if moved.any():
-                    first = min(first, int(moved.argmax()))
-            if first < d:
-                ch.add_level(first)
         # an identity input sifts to the identity and is skipped
-        ch.add_inputs(rows)
+        ch.add_inputs(self._rows)
         ch.release_caches()
         self._chain = ch
         return ch

@@ -9,8 +9,7 @@ from paigeloops import (DomainError, FiniteLoop, LimitError,
                         aut_summary, conjugation_autos, field,
                         frobenius_on_paige, g2_order, is_loop_automorphism,
                         loop_from_table, paige_representatives)
-from paigeloops._kernels_py import (_digit_matrices, _field_digits,
-                                    _linear_images)
+from paigeloops._kernels_py import _digit_matrices, _linear_images
 from paigeloops.loops import _rep_address
 from paigeloops.zorn import oct_canonical, oct_conj, oct_mul, oct_norm
 
@@ -327,7 +326,7 @@ def _int64_images(F, mats, X, addr):
     turned back into coordinates, for each M of mats (rows) and each x
     of X (columns)."""
     p, k = F.p, F.k
-    D = _field_digits(F)[X].reshape(len(X), 8 * k).astype(np.int64)
+    D = F.digits[X].reshape(len(X), 8 * k).astype(np.int64)
     z = np.matmul(D, mats.astype(np.int64)) % p
     coords = z.reshape(len(mats), len(X), 8, k) @ p ** np.arange(k)
     return addr[_rep_address(F.q, coords)]

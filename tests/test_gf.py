@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,56 @@ from paigeloops import DomainError, Field, LimitError, field
 from paigeloops.config import FIELD_MAX_Q
 
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25]
+
+# SHA-256 of the int16 add, sub, mul, neg, inv and frob tables, and the
+# modulus, of GF(q) as built by trial division of the candidate moduli
+FIELD_DIGESTS = {
+    2: ("307ac21939d2e11d0907b1e6d843748d714b2a1abb82db7bbbdf1ed0ed22204f",
+        None),
+    3: ("67339796c19c4cf6ba312f390853de071c38ce8194c24530108f83429395ff92",
+        None),
+    4: ("971bb1a136d00532acdbd0a0f93eea46a5b8a33ab4aaa5ca913d9700aab6c617",
+        (1, 1, 1)),
+    5: ("903c7fa21bd95198f92fb54bf3e0cda94865dbc454b9e705c4219cd55092e41d",
+        None),
+    7: ("62c44c38015f0ad87f03af040bdc34aeb8238faf173ea3f10769f2402def0aa7",
+        None),
+    8: ("373394c2fe3a2a7b4679228684d9874fe26596533bd4e8d4daab352f2462b66c",
+        (1, 0, 1, 1)),
+    9: ("9323a1a40caeb3777591ac671e0db730e2510b4d923fa99bded96dbe05159dee",
+        (1, 0, 1)),
+    11: ("339b844e55269637db6015e0eb6416b58b1a98026579af0ff776cec68aa86657",
+         None),
+    13: ("dffad3671074a6cb0f831f1908c488bb381d5f148353163f062d6819ed6d7f9f",
+         None),
+    16: ("096773cc0542a76922909218b6c66b9710fc96d756b3fa254e7871b5c0755922",
+         (1, 0, 0, 1, 1)),
+    25: ("a48dc5dc1f967dd46ac19fb39a77f80925d01c5279f21e20dd0fedbba0588bbf",
+         (1, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_pinned_fields(q):
+    """Every table and the modulus, byte for byte."""
+    F = Field(q)
+    h = hashlib.sha256()
+    for t in (F.add_table, F.sub_table, F.mul_table, F.neg_table,
+              F.inv_table, F.frob_table):
+        assert t.dtype == np.int16
+        h.update(t.tobytes())
+    assert (h.hexdigest(), F.modulus) == FIELD_DIGESTS[q]
+
+
+@pytest.mark.parametrize("q,want", [
+    (2, [[0], [1]]), (3, [[0], [1], [2]]),
+    (4, [[0, 0], [1, 0], [0, 1], [1, 1]]),
+    (9, [[v % 3, v // 3] for v in range(9)])])
+def test_field_digits(q, want):
+    F = field(q)
+    assert F.digits.dtype == np.int16
+    assert F.digits.tolist() == want
+    assert [F.coeffs(a) for a in F.elements()] == [tuple(w) for w in want]
 
 
 @pytest.mark.parametrize("q", PRIME_POWERS)
@@ -105,6 +157,52 @@ def test_coeff_roundtrip():
     F = field(8)
     for a in range(8):
         assert F.from_coeffs(F.coeffs(a)) == a
+
+
+@pytest.mark.parametrize("coeffs", [(1.5, 0, 0), (1.0, 0, 0), ("1", 0, 0),
+                                    (0, 2, 0), (0, -1, 0), (1, 0)])
+def test_from_coeffs_refuses_non_digits(coeffs):
+    """A coefficient is an int in 0..p-1, by the rule check applies to
+    elements."""
+    with pytest.raises(DomainError):
+        field(8).from_coeffs(coeffs)
+    assert field(8).from_coeffs((np.int16(1), 0, np.int64(1))) == 5
+
+
+def _pow_by_squaring(F, a, n):
+    """a^n for n >= 0 by square-and-multiply on the mul table."""
+    acc = 1
+    while n:
+        if n & 1:
+            acc = F.mul(acc, a)
+        a, n = F.mul(a, a), n >> 1
+    return acc
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_pow_is_the_repeated_product(q):
+    F = field(q)
+    for a in range(q):
+        for n in range(-2 * q, 2 * q + 1):
+            if a == 0 and n < 0:
+                with pytest.raises(DomainError):
+                    F.pow(a, n)
+                continue
+            b, m = (a, n) if n >= 0 else (F.inv(a), -n)
+            acc = 1
+            for _ in range(m):
+                acc = F.mul(acc, b)
+            assert F.pow(a, n) == acc, (a, n)
+
+
+@pytest.mark.parametrize("q", [2, 25])
+def test_pow_of_a_huge_exponent(q):
+    F = field(q)
+    n = 10**18
+    assert [F.pow(a, n) for a in range(q)] == \
+        [_pow_by_squaring(F, a, n) for a in range(q)]
+    assert F.pow(0, n) == 0 and F.pow(0, 0) == 1
+    assert F.pow(q - 1, -n) == F.inv(_pow_by_squaring(F, q - 1, n))
 
 
 def test_rejects_non_prime_powers():

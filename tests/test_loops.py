@@ -687,11 +687,3 @@ def test_fill_over_gf4_matches_zorn_products():
     _kernels_py.paige_table(F, sub, addr, out)
     want = addr[loops._rep_address(4, oct_mul(F, sub[:, None], sub[None]))]
     assert (out == want).all()
-
-
-@pytest.mark.parametrize("q,want", [
-    (2, [[0], [1]]), (3, [[0], [1], [2]]),
-    (4, [[0, 0], [1, 0], [0, 1], [1, 1]]),
-    (9, [[v % 3, v // 3] for v in range(9)])])
-def test_field_digits(q, want):
-    assert _kernels_py._field_digits(field(q)).tolist() == want
