@@ -26,5 +26,10 @@ MAX_TABLE_CELLS = 300_000_000
 # it peaks at about 30 MiB of numpy arrays; the q=4 net has 266_342_400.
 MAX_PERM_DEGREE = 10_000_000
 
+# Largest loop order that is_simple takes, a cap on the time to build the
+# multiplication group; `report all` leaves out `mlt order` and `net bol`
+# past it too, where they would take minutes.
+MAX_MLT_LOOP_ORDER = 2000
+
 # Full n^3 triple sweeps (Moufang / associativity) above this need sampling.
 MAX_FULL_TRIPLES = 1_000_000_000

@@ -502,8 +502,10 @@ def is_simple(L, mlt=None):
     """Simplicity via inner mappings: Inn(L) is the stabilizer of e in
     Mlt(L); L is simple iff for every x != e the least Inn-invariant
     subloop containing x is all of L."""
-    if L.n > 2000:
-        raise LimitError("simplicity check capped at order 2000", bound=2000)
+    if L.n > config.MAX_MLT_LOOP_ORDER:
+        raise LimitError("simplicity check capped at order "
+                         f"{config.MAX_MLT_LOOP_ORDER}",
+                         bound=config.MAX_MLT_LOOP_ORDER)
     if L.n == 1:
         return SimplicityVerdict(True, None)
     if mlt is None:

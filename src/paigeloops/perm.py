@@ -612,12 +612,17 @@ class PermGroup:
         rng = np.random.default_rng(seed)
         return Permutation(self._build().random_element(rng), _checked=True)
 
-    def random_elements(self, count, seed):
-        """count iid uniform elements from one seeded stream."""
+    def random_stream(self, count, seed):
+        """count iid uniform elements from one seeded stream, drawn one at
+        a time, so that only the current one is held."""
         rng = np.random.default_rng(seed)
         ch = self._build()
-        return [Permutation(ch.random_element(rng), _checked=True)
-                for _ in range(count)]
+        for _ in range(count):
+            yield Permutation(ch.random_element(rng), _checked=True)
+
+    def random_elements(self, count, seed):
+        """random_stream's elements as a list."""
+        return list(self.random_stream(count, seed))
 
     def element_array(self):
         """All elements as one (order, degree) int32 array of image rows,

@@ -178,7 +178,7 @@ def verify_triality_axioms(T, samples=1000, seed=0):
         checked += 1
         if not equation_holds(g):
             failures += 1
-    for g in T.gamma.random_elements(samples, seed=seed):
+    for g in T.gamma.random_stream(samples, seed=seed):
         checked += 1
         if not equation_holds(g):
             failures += 1

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 import subprocess
@@ -208,6 +209,18 @@ def test_usage_errors(s3_tbl):
                    "everything").returncode == 2
     assert run_cli("loop", "check", "moufang", "--q", "2", "--samples",
                    "-5").returncode == 2
+    for argv in (["loop", "check", "moufang", "--q", "2", "--mode",
+                  "sample", "--samples", "10", "--seed", "-1"],
+                 ["octonion", "check", "composition", "--q", "2", "--mode",
+                  "sample", "--samples", "10", "--seed", "-1"],
+                 ["triality", "verify", "--q", "2", "--samples", "5",
+                  "--seed", "-3"],
+                 ["aut", "count", "--q", "2", "--table", s3_tbl, "--method",
+                  "conjugation"],
+                 ["aut", "summary", "--q", "2", "--methods", ","]):
+        out = run_cli(*argv)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith("error: ")
 
 
 def test_corrupt_table_exits_2(tmp_path):
@@ -378,3 +391,6 @@ def test_report_all_q2_sections():
     summary = json.loads([r for r in rows
                           if r["check"] == "aut_summary"][0]["witness"])
     assert summary["computed"] == "12096"
+    # the whole report: every section's parameters, value and witness
+    assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
+        "9320e0393d3fce829710b8878666c443ed6c569ccd54f38a0777dc9a373314d9")

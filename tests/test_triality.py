@@ -146,6 +146,21 @@ def test_axiom_report_shape(tri_s3):
     assert report[1]["checked"] == 50 + len(tri_s3.gamma.generators)
 
 
+def test_axiom_samples_are_checked_as_they_are_drawn(tri2, traced_peak):
+    """The sampled elements of Gamma come one at a time from the seeded
+    stream that random_elements lists: at q = 2, 4,000 of them (about
+    1.5 KiB each) are checked without holding them all at once."""
+    T = tri2()
+    report = []
+    peak = traced_peak(lambda: report.extend(
+        verify_triality_axioms(T, samples=4000, seed=0)))
+    assert peak < 2
+    assert report[1]["checked"] == 4000 + len(T.gamma.generators)
+    assert all(e["failures"] == 0 for e in report)
+    assert list(T.gamma.random_stream(5, seed=0)) == \
+        T.gamma.random_elements(5, seed=0)
+
+
 def test_stabilizer_automorphisms_s3(tri_s3, s3):
     sc = origin_stabilizer_automorphisms(tri_s3)
     assert sc.count == 3
