@@ -46,13 +46,18 @@ intp indices built for np.take or a flat gather, 8 bytes a cell (fancy
 indexing casts smaller index arrays through fixed buffers); a step that
 makes nothing per row counts the row it reads.  No answer depends on
 the block size.
+
+The sampled checks stream their seeded draws through _sample_blocks, a
+block of each draw at a time, in int64, the draws counted in the row's
+bytes; a prepass finds where each later draw starts, so the samples are
+those of the one-shot draws, whatever the block size.
 """
 
-import math
+import copy
 
 import numpy as np
 
-from .errors import InternalError
+from .errors import DomainError, InternalError
 from .zorn import oct_mul
 
 
@@ -128,15 +133,41 @@ def _blocks(lo, hi, row_bytes):
         yield a, min(a + k, hi)
 
 
-def _draw_samples(rng, n, shape, dtype):
-    """rng.integers(0, n, size=shape), drawn a block of rows at a time (a
-    row costs its int64 draws) and kept in dtype.  Below 2^32 each draw
-    takes the bit generator's own buffered 32-bit outputs, so the blocks
-    join up to the single draw."""
-    out = np.empty(shape, dtype)
-    for i0, i1 in _blocks(0, len(out), 8 * math.prod(out.shape[1:])):
-        out[i0:i1] = rng.integers(0, n, size=(i1 - i0,) + out.shape[1:])
-    return out
+def _sample_args(n_samples, seed):
+    """A sampled check's n_samples and seed as Python ints, or DomainError
+    unless n_samples is an integer >= 1 and seed an integer >= 0 (a
+    numpy integer counts, a bool does not)."""
+    for name, v, least in (("n_samples", n_samples, 1), ("seed", seed, 0)):
+        if (isinstance(v, bool) or not isinstance(v, (int, np.integer))
+                or v < least):
+            raise DomainError(f"{name} must be an integer >= {least}, "
+                              f"got {v!r}")
+    return int(n_samples), int(seed)
+
+
+def _sample_blocks(rng, n, count, k, row_bytes, width=()):
+    """Yield (lo, hi, draws) over _blocks(0, count, row_bytes), where
+    draws[j] is rows lo..hi of the j-th of k successive
+    rng.integers(0, n, size=(count,) + width) draws, in int64; row_bytes
+    counts a row's k draws, 8 bytes a cell.
+
+    Below 2^32 a draw takes the bit generator's buffered 32-bit outputs,
+    a data-dependent number of them a cell (Lemire's rejection), so the
+    blocks of a draw join up to it, but where a later draw starts is
+    known only once the earlier ones are made.  A prepass makes draws
+    0..k-2 a block at a time and drops them, copying rng before each (its
+    bit generator's state, buffered half-output included); the k - 1
+    copies and rng itself then draw in lockstep, and rng ends where the
+    k draws leave it."""
+    gens = []
+    for _ in range(k - 1):
+        gens.append(copy.deepcopy(rng))
+        for lo, hi in _blocks(0, count, row_bytes):
+            rng.integers(0, n, size=(hi - lo,) + width)
+    gens.append(rng)
+    for lo, hi in _blocks(0, count, row_bytes):
+        yield lo, hi, [g.integers(0, n, size=(hi - lo,) + width)
+                       for g in gens]
 
 
 def transversal_fill(gs, sv, pos, orbit, norbit, base, uinv):

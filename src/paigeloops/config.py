@@ -15,10 +15,11 @@ NORM_ONE_MAX_Q = 9
 # Largest table, in cells: an n x n Cayley or division table of a loop
 # (q=4 fits, q=5 not), built or loaded from a file, a group listing of
 # order x degree cells, a chain's transversal cache of (sum of basic
-# orbits) x degree cells (84.6 M at Aut(M*(4)), 161 MiB), or the sample
-# arrays of a sampled check (3 cells a Moufang triple, 16 an octonion
-# pair).  Tables and caches hold a point in int16 up to 32,767 points
-# and in int32 above.
+# orbits) x degree cells (84.6 M at Aut(M*(4)), 161 MiB).  Tables and
+# caches hold a point in int16 up to 32,767 points and in int32 above.
+# It also caps the samples of a sampled check, at 3 cells a Moufang
+# triple and 16 an octonion pair: their draws are streamed a block at a
+# time, so this bounds the check's time, not its memory.
 MAX_TABLE_CELLS = 300_000_000
 
 # Largest permutation degree, and most points in a net that build_triality

@@ -340,7 +340,10 @@ def _moufang_sides(T, x, y, z):
     n = T.shape[1]
 
     def m(a, b):
-        return flat.take(np.asarray(a, np.intp) * n + b)
+        # a n + b in one intp array when a and b have one shape
+        i = np.multiply(a, n, dtype=np.intp)
+        return flat.take(np.add(i, b, out=i) if i.shape == np.shape(b)
+                         else i + b)
 
     xy = m(x, y)
     yield 1, m(m(xy, x), z), m(x, m(y, m(x, z)))
@@ -364,11 +367,14 @@ def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
     counterexample as (identity_id, x, y, z); sample mode draws n_samples
     triples from a seeded generator and reports the first failing sample
     of the first failing identity.  The samples are the x, y and z of
-    three rng.integers(0, n, size=n_samples) draws in turn, kept in the
-    table's dtype, and sample mode raises LimitError before drawing when
-    their 3 n_samples cells would pass MAX_TABLE_CELLS.  A triple of a
-    block costs 32 bytes: the intp indices of a gather, the products kept
-    for the later identities and a mask.
+    three rng.integers(0, n, size=n_samples) draws in turn, streamed a
+    block at a time by _kernels_py._sample_blocks, whose prepass finds
+    where the y and z draws start; n_samples must be an integer >= 1 and
+    seed one >= 0.  A triple of a block costs 56 bytes: its three int64
+    draws, the intp indices of a gather, the products kept for the later
+    identities and a mask.  So the memory does not grow with n_samples,
+    but the time does, and sample mode raises LimitError before drawing
+    when 3 n_samples would pass MAX_TABLE_CELLS (10^8 triples).
     """
     # entries are only ever used as indices, so the table dtype is kept;
     # upcasting would quadruple the footprint at q = 4
@@ -395,28 +401,24 @@ def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
                                   "full")
         return MoufangVerdict(True, None, 4 * n**3, "full")
     if mode == "sample":
-        if n_samples < 1:
-            raise DomainError("n_samples must be positive")
+        n_samples, seed = _kernels._sample_args(n_samples, seed)
         if 3 * n_samples > config.MAX_TABLE_CELLS:
             raise LimitError(
-                f"{n_samples} sampled triples need {3 * n_samples} cells, "
-                f"over {config.MAX_TABLE_CELLS}",
+                f"{n_samples} sampled triples are over the cap of "
+                f"{config.MAX_TABLE_CELLS // 3}",
                 bound=config.MAX_TABLE_CELLS)
         rng = np.random.default_rng(seed)
-        xs, ys, zs = [_kernels._draw_samples(rng, n, n_samples, T.dtype)
-                      for _ in range(3)]
         # blocks in sample order; once an identity fails, later blocks
         # check only the identities before it
         found = None
-        for i0, i1 in _kernels._blocks(0, n_samples, 32):
-            blk = slice(i0, i1)
-            for idn, lhs, rhs in _moufang_sides(T, xs[blk], ys[blk],
-                                                zs[blk]):
+        for _, _, (xs, ys, zs) in _kernels._sample_blocks(
+                rng, n, n_samples, 3, 56):
+            for idn, lhs, rhs in _moufang_sides(T, xs, ys, zs):
                 if found is not None and idn >= found[0]:
                     break
                 bad = np.flatnonzero(lhs != rhs)
                 if len(bad):
-                    i = i0 + int(bad[0])
+                    i = int(bad[0])
                     found = (idn, int(xs[i]), int(ys[i]), int(zs[i]))
                     break
             if found is not None and found[0] == 1:

@@ -285,22 +285,24 @@ def two_unit_decompose(F, x):
 def check_composition(F, mode="full", n_samples=1_000_000, seed=0):
     """Sweep N(xy) = N(x) N(y) over pairs of octonions.
 
-    Full mode covers all q^16 pairs (bounded to q <= 2); sample mode draws
-    the coordinates of X and then of Y from a seeded generator, each in
-    one rng.integers(0, q, size=(n_samples, 8)) draw kept in int16, and
-    raises LimitError before drawing when their 16 n_samples cells would
-    pass MAX_TABLE_CELLS.  The pairs are multiplied a block at a time, a
-    pair costing 48 bytes of products, norms and gather indices.  Returns
-    (passed, pairs_checked, counterexample) where the counterexample is
-    the coordinate pair (x, y) of the first failing pair, or None.
+    Full mode covers all q^16 pairs (bounded to q <= 2) a block at a
+    time, a pair costing 48 bytes of products, norms and gather indices.
+    Sample mode draws the coordinates of X and then of Y from a seeded
+    generator, in two rng.integers(0, q, size=(n_samples, 8)) draws,
+    streamed a block at a time by _kernels_py._sample_blocks, whose
+    prepass finds where the Y draw starts; a pair costs those 48 bytes
+    and its 16 int64 draws, and n_samples must be an integer >= 1 and
+    seed one >= 0.  Sample mode raises LimitError before drawing when
+    16 n_samples would pass MAX_TABLE_CELLS (1.875 * 10^7 pairs), a cap
+    on its time.  Returns (passed, pairs_checked, counterexample)
+    where the counterexample is the coordinate pair (x, y) of the first
+    failing pair, or None.
     """
     # _kernels_py imports this module
-    from ._kernels_py import _blocks, _draw_samples
+    from ._kernels_py import _blocks, _sample_args, _sample_blocks
 
     if mode not in ("full", "sample"):
         raise DomainError(f"unknown mode {mode!r}")
-    if mode == "sample" and n_samples < 1:
-        raise DomainError("n_samples must be positive")
     q = F.q
     if mode == "full":
         if q > 2:
@@ -310,25 +312,26 @@ def check_composition(F, mode="full", n_samples=1_000_000, seed=0):
         m = len(grid)
         X = np.repeat(grid, m, axis=0)
         Y = np.tile(grid, (m, 1))
+        count = len(X)
+        pairs = ((X[lo:hi], Y[lo:hi]) for lo, hi in _blocks(0, count, 48))
     else:
-        if 16 * n_samples > config.MAX_TABLE_CELLS:
+        count, seed = _sample_args(n_samples, seed)
+        if 16 * count > config.MAX_TABLE_CELLS:
             raise LimitError(
-                f"{n_samples} sampled pairs need {16 * n_samples} cells, "
-                f"over {config.MAX_TABLE_CELLS}",
+                f"{count} sampled pairs are over the cap of "
+                f"{config.MAX_TABLE_CELLS // 16}",
                 bound=config.MAX_TABLE_CELLS)
-        rng = np.random.default_rng(seed)
-        X = _draw_samples(rng, q, (n_samples, 8), np.int16)
-        Y = _draw_samples(rng, q, (n_samples, 8), np.int16)
-    for lo, hi in _blocks(0, len(X), 48):
-        x, y = X[lo:hi], Y[lo:hi]
+        pairs = (xy for _, _, xy in _sample_blocks(
+            np.random.default_rng(seed), q, count, 2, 48 + 16 * 8, (8,)))
+    for x, y in pairs:
         lhs = oct_norm(F, oct_mul(F, x, y))
         rhs = F.mul_table[oct_norm(F, x), oct_norm(F, y)]
         bad = np.flatnonzero(lhs != rhs)
         if len(bad):
-            i = lo + int(bad[0])
-            return False, len(X), (tuple(int(c) for c in X[i]),
-                                   tuple(int(c) for c in Y[i]))
-    return True, len(X), None
+            i = int(bad[0])
+            return False, count, (tuple(int(c) for c in x[i]),
+                                  tuple(int(c) for c in y[i]))
+    return True, count, None
 
 
 def check_two_unit_decomposition(F):

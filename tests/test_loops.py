@@ -9,7 +9,8 @@ import pytest
 from paigeloops import _kernels_py, autos, config, loops
 from paigeloops import (DomainError, InternalError, LimitError,
                         MalformedTableError,
-                        NoIdentityAtZeroError, NotLatinError, check_moufang,
+                        NoIdentityAtZeroError, NotLatinError,
+                        check_composition, check_moufang,
                         element_order, field, first_nonassociative_triple,
                         is_simple, load_tbl, loop_center, loop_divide,
                         loop_from_table, multiplication_group,
@@ -243,9 +244,10 @@ def test_moufang_sample_blocks_keep_the_first_failure(loop5, monkeypatch):
 
 def test_moufang_sample_draws_keep_their_triples(paige3, monkeypatch):
     """The blocks handed to _moufang_sides join up to the three single
-    int64 draws, in the table's dtype, over an uneven last block."""
+    int64 draws, kept in int64, over an uneven last block."""
     L = paige3()
-    block = _kernels_py._BLOCK_BYTES // _TRIPLE_BYTES
+    # a triple's scratch and its three int64 draws
+    block = _kernels_py._BLOCK_BYTES // (_TRIPLE_BYTES + 3 * 8)
     n_samples = 3 * block + 17
     seen = []
     sides = loops._moufang_sides
@@ -260,16 +262,71 @@ def test_moufang_sample_draws_keep_their_triples(paige3, monkeypatch):
     rng = np.random.default_rng(11)
     for k in range(3):
         got = np.concatenate([b[k] for b in seen])
-        assert got.dtype == L.table.dtype
+        assert got.dtype == np.int64
         want = rng.integers(0, L.n, size=n_samples)
         assert want.dtype == np.int64 and (got == want).all()
 
 
 def test_sampled_moufang_transients_stay_small(paige3, traced_peak):
-    """10^6 triples of M*(3) in int16 (5.7 MiB) and one block's gathers;
-    three int64 draws alone would take 22.9 MiB."""
+    """10^6 triples of M*(3) streamed a block at a time: one block of
+    draws and gathers, where three int64 draws alone would take 22.9 MiB
+    and their int16 copies 5.7 MiB."""
     L = paige3()
-    assert traced_peak(lambda: check_moufang(L, mode="sample")) < 10
+    assert traced_peak(lambda: check_moufang(L, mode="sample")) < 2.5
+
+
+@pytest.mark.parametrize("width", [(), (8,)])
+@pytest.mark.parametrize("n", [1, 2, 7, 1080])
+def test_sample_blocks_join_up_to_the_one_shot_draws(n, width, monkeypatch):
+    """For k = 1..3 draws and budgets of one to three rows, the blocks of
+    _sample_blocks join up to k successive one-shot draws, over an uneven
+    last block, and leave rng where those draws leave it."""
+    cells = math.prod(width)
+    count = 11
+    for k in (1, 2, 3):
+        row = 8 * k * cells
+        for rows in (1, 2, 3):
+            monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", rows * row)
+            rng = np.random.default_rng(29)
+            blocks = list(_kernels_py._sample_blocks(rng, n, count, k, row,
+                                                     width))
+            assert [(lo, hi) for lo, hi, _ in blocks] == list(
+                _kernels_py._blocks(0, count, row))
+            assert count % rows == 0 or len(blocks[-1][2][0]) < rows
+            want = np.random.default_rng(29)
+            for j in range(k):
+                got = np.concatenate([d[j] for _, _, d in blocks])
+                one_shot = want.integers(0, n, size=(count,) + width)
+                assert got.dtype == np.int64 and (got == one_shot).all()
+            assert rng.bit_generator.state == want.bit_generator.state
+
+
+def _sampled_checks(paige2):
+    return {"moufang": lambda **kw: check_moufang(paige2, mode="sample",
+                                                   **kw),
+            "composition": lambda **kw: check_composition(
+                field(3), mode="sample", **kw)}
+
+
+@pytest.mark.parametrize("check", ["moufang", "composition"])
+@pytest.mark.parametrize("kw", [
+    {"n_samples": 1000.5}, {"n_samples": 1e3}, {"n_samples": "10"},
+    {"n_samples": True}, {"n_samples": 0}, {"n_samples": np.int64(-2)},
+    {"seed": -1}, {"seed": 1.5}, {"seed": "3"}])
+def test_sampled_checks_refuse_bad_counts_and_seeds(check, kw, paige2):
+    """n_samples must be an integer >= 1 and seed one >= 0, numpy
+    integers included and bools not, as on the command line."""
+    with pytest.raises(DomainError):
+        _sampled_checks(paige2)[check](**kw)
+
+
+def test_sampled_checks_report_plain_ints(paige2):
+    checks = _sampled_checks(paige2)
+    v = checks["moufang"](n_samples=np.int64(100), seed=np.uint8(3))
+    assert v == checks["moufang"](n_samples=100, seed=3)
+    assert type(v.triples_checked) is int and v.triples_checked == 400
+    got = checks["composition"](n_samples=np.int32(100), seed=np.int64(3))
+    assert got == (True, 100, None) and type(got[1]) is int
 
 
 def test_moufang_full_mode_bounded(paige3):

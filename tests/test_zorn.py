@@ -118,9 +118,9 @@ def test_composition_sampled():
 
 @pytest.mark.parametrize("q", [2, 3, 5, 8])
 def test_composition_draws_in_blocks(q, monkeypatch):
-    """Sample mode draws X and then Y three rows a block (8 int64 draws a
-    row), over an uneven last block, and multiplies four pairs a block
-    (48 bytes a pair): the pairs multiplied are the two one-shot draws."""
+    """Sample mode streams X and Y three pairs a block (48 bytes of
+    scratch and 16 int64 draws a pair), over an uneven last block: the
+    pairs multiplied are the two one-shot draws, kept in int64."""
     seen = []
     mul = zorn.oct_mul
 
@@ -129,15 +129,23 @@ def test_composition_draws_in_blocks(q, monkeypatch):
         return mul(F, x, y)
 
     monkeypatch.setattr(zorn, "oct_mul", recorded)
-    monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", 3 * 64)
+    monkeypatch.setattr(_kernels_py, "_BLOCK_BYTES", 3 * (48 + 16 * 8))
     assert check_composition(field(q), mode="sample", n_samples=10,
                              seed=7) == (True, 10, None)
-    assert [len(x) for x, _ in seen] == [4, 4, 2]
+    assert [len(x) for x, _ in seen] == [3, 3, 3, 1]
     rng = np.random.default_rng(7)
     for k in range(2):
         got = np.concatenate([pair[k] for pair in seen])
-        assert got.dtype == np.int16
+        assert got.dtype == np.int64
         assert (got == rng.integers(0, q, size=(10, 8))).all()
+
+
+def test_sampled_composition_transients_stay_small(traced_peak):
+    """10^6 pairs at q = 3 streamed a block at a time, where the two
+    (10^6, 8) draws alone would take 122 MiB in int64 and 30.5 MiB in
+    int16."""
+    F = field(3)
+    assert traced_peak(lambda: check_composition(F, mode="sample")) < 3
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
