@@ -34,11 +34,9 @@ from .loops import (
     bundled_loop5,
     check_moufang,
     element_order,
-    first_nonassociative_triple,
     is_simple,
     load_tbl,
     loop_center,
-    loop_divide,
     loop_from_table,
     multiplication_group,
     paige_loop,
@@ -55,7 +53,6 @@ from .nets import (
     Net3,
     all_bol_reflections,
     bol_reflection,
-    coordinate_loop,
     is_collineation,
     line_image,
     net_from_loop,
@@ -70,13 +67,10 @@ from .triality import (
     verify_triality_axioms,
 )
 from .zorn import (
-    Octonion,
     check_composition,
     check_two_unit_decomposition,
     norm_one_array,
     norm_one_count_formula,
-    norm_one_elements,
-    two_unit_decompose,
 )
 
 __version__ = "0.1.0"
@@ -105,7 +99,6 @@ __all__ = [
     "NoIdentityAtZeroError",
     "NotLatinError",
     "NotMoufangNetError",
-    "Octonion",
     "PermGroup",
     "Permutation",
     "SimplicityVerdict",
@@ -121,10 +114,8 @@ __all__ = [
     "check_moufang",
     "check_two_unit_decomposition",
     "conjugation_autos",
-    "coordinate_loop",
     "element_order",
     "field",
-    "first_nonassociative_triple",
     "frobenius_on_paige",
     "g2_order",
     "induced_automorphism_check",
@@ -135,13 +126,11 @@ __all__ = [
     "line_image",
     "load_tbl",
     "loop_center",
-    "loop_divide",
     "loop_from_table",
     "multiplication_group",
     "net_from_loop",
     "norm_one_array",
     "norm_one_count_formula",
-    "norm_one_elements",
     "origin_stabilizer_automorphisms",
     "paige_loop",
     "paige_order_enumerated",
@@ -149,7 +138,6 @@ __all__ = [
     "paige_representatives",
     "save_tbl",
     "subloop_closure",
-    "two_unit_decompose",
     "unit_loop",
     "verify_triality_axioms",
     "__version__",

@@ -131,24 +131,8 @@ class Field:
             raise DomainError("0 has no multiplicative inverse")
         return int(self.inv_table[a])
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def frobenius(self, a):
         return int(self.frob_table[self.check(a)])
-
-    def pow(self, a, n):
-        """a^n, with 0^0 = 1; the exponent of a nonzero a is taken mod
-        q - 1, the order of the multiplicative group."""
-        a = self.check(a)
-        if a == 0:
-            if n < 0:
-                raise DomainError("0 has no multiplicative inverse")
-            return int(n == 0)
-        acc = 1
-        for _ in range(n % (self.q - 1)):
-            acc = int(self.mul_table[acc, a])
-        return acc
 
     # -- structure -----------------------------------------------------------
 

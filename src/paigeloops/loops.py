@@ -19,7 +19,7 @@ from .errors import (DomainError, InternalError, LimitError,
                      MalformedTableError, NoIdentityAtZeroError,
                      NotLatinError)
 from .gf import field
-from .perm import PermGroup, Permutation
+from .perm import PermGroup
 from .zorn import (norm_one_array, norm_one_count_formula, oct_canonical,
                    oct_neg)
 
@@ -108,16 +108,6 @@ class FiniteLoop:
         """a / b: the x with x*b = a."""
         return int(self.rdiv_table[b, a])
 
-    def left_translation(self, a):
-        """x |-> a*x as a Permutation."""
-        return Permutation(self.table[a].astype(np.int32), _checked=True)
-
-    def right_translation(self, a):
-        """x |-> x*a as a Permutation."""
-        return Permutation(
-            np.ascontiguousarray(self.table[:, a], dtype=np.int32),
-            _checked=True)
-
     def __len__(self):
         return self.n
 
@@ -128,15 +118,6 @@ class FiniteLoop:
 def loop_from_table(table, labels=None):
     """Validate a Cayley table (Latin, identity at index 0)."""
     return FiniteLoop(table, labels=labels)
-
-
-def loop_divide(L, side, a, b):
-    """Solve a*x = b (side='left') or x*a = b (side='right')."""
-    if side == "left":
-        return L.ldiv(a, b)
-    if side == "right":
-        return L.rdiv(b, a)
-    raise DomainError(f"side must be 'left' or 'right', got {side!r}")
 
 
 # -- Paige loops ---------------------------------------------------------
@@ -192,7 +173,8 @@ def _build_table(F, reps):
 
 
 def _labels(F, reps):
-    """The text of each representative, as Octonion.to_text writes it."""
+    """The text of each representative: each coordinate's
+    Field.format_element, joined by ';'."""
     text = [F.format_element(c) for c in range(F.q)]
     return [";".join([text[c] for c in row]) for row in reps.tolist()]
 
@@ -273,7 +255,9 @@ def subloop_closure(L, seed):
     built.  Let S be finite, contain e and be closed under the product.
     For a in S, x -> a x maps S into S and is injective (L is a loop),
     hence onto S, so a \\ b lies in S for every b in S; likewise
-    x -> x a gives b / a in S."""
+    x -> x a gives b / a in S.  Each round multiplies the k elements
+    found so far a block of left factors at a time, a row costing the k
+    intp indices of its products and the products."""
     n = L.n
     mask = np.zeros(n, dtype=bool)
     mask[0] = True
@@ -286,7 +270,9 @@ def subloop_closure(L, seed):
         ix = np.nonzero(mask)[0]
         if len(ix) == n:
             return ix
-        mask[flat.take(ix[:, None] * n + ix)] = True
+        for lo, hi in _kernels._blocks(0, len(ix),
+                                       len(ix) * (8 + flat.itemsize)):
+            mask[flat.take(ix[lo:hi, None] * n + ix)] = True
         if np.count_nonzero(mask) == len(ix):
             return ix
 
@@ -426,25 +412,6 @@ def check_moufang(L, mode="full", n_samples=1_000_000, seed=0):
         return MoufangVerdict(found is None, found, 4 * n_samples,
                               "sample")
     raise DomainError(f"mode must be 'full' or 'sample', got {mode!r}")
-
-
-def first_nonassociative_triple(L):
-    """Lexicographically least (x, y, z) with (xy)z != x(yz), or None."""
-    T = np.ascontiguousarray(L.table)
-    n = L.n
-    if n**3 > config.MAX_FULL_TRIPLES:
-        raise LimitError(
-            f"{n}^3 triples exceed {config.MAX_FULL_TRIPLES}",
-            bound=config.MAX_FULL_TRIPLES)
-    for x in range(n):
-        lhs = T[T[x, :], :]
-        rhs = T[x, T]
-        bad = lhs != rhs
-        if bad.any():
-            flat = int(np.argmax(bad.ravel()))
-            y, z = divmod(flat, n)
-            return (x, y, z)
-    return None
 
 
 class _Translations:

@@ -1,5 +1,4 @@
-"""The 3-net of a loop, Bol reflections, collineation testing, and
-coordinate-loop extraction.
+"""The 3-net of a loop, Bol reflections and collineation testing.
 
 Points of the net of a loop of order n are the pairs (i, j), indexed
 i*n + j.  Lines come in three classes:
@@ -10,10 +9,10 @@ i*n + j.  Lines come in three classes:
 
 Line id = (class - 1)*n + value.
 
-bol_reflection, is_collineation and coordinate_loop gather from the
-loop's tables in their own dtype (int16 up to n = 32,767), and the first
-two widen to int32 only where a point id i*n + j is formed: at q = 3 the
-ids pass 32,767.  None of them copies a table.
+bol_reflection and is_collineation gather from the loop's tables in
+their own dtype (int16 up to n = 32,767), and widen to int32 only where
+a point id i*n + j is formed: at q = 3 the ids pass 32,767.  Neither
+copies a table.
 """
 
 from dataclasses import dataclass
@@ -92,14 +91,6 @@ class Net3:
         for cls in (1, 2, 3):
             for c in range(self.n):
                 yield LineRef(cls, c)
-
-    def dump(self):
-        """Debug text: one `class value : points` line per net line."""
-        out = []
-        for line in self.lines():
-            pts = " ".join(str(int(p)) for p in self.line_points(line))
-            out.append(f"{line.cls} {line.value} : {pts}")
-        return "\n".join(out) + "\n"
 
     def __repr__(self):
         return f"Net3(n={self.n})"
@@ -201,25 +192,3 @@ def line_image(verdict, line):
         raise DomainError("not a collineation")
     return LineRef(verdict.direction_action[line.cls - 1],
                    int(verdict.value_maps[line.cls - 1][line.value]))
-
-
-def coordinate_loop(net, origin):
-    """Coordinatize the net at a point: coordinates are the second
-    coordinates of the origin's class-1 line, the identity is the origin's
-    own coordinate, and products are read through class-3 incidences.
-    Coordinates are relabeled so the identity sits at index 0; with origin
-    (0, 0) the table equals the source loop's exactly."""
-    L = net.loop
-    n = net.n
-    if not 0 <= origin < n * n:
-        raise DomainError("origin out of range")
-    i0, j0 = divmod(int(origin), n)
-    T, LD, RD = L.table, L.ldiv_table, L.rdiv_table
-    # a o b = i0 \ (((i0 a) / j0) b)
-    lead = RD[j0, T[i0, :]]                 # (i0 a)/j0 over a
-    table = LD[i0, T[lead, :]]
-    if j0 != 0:
-        r = np.arange(n, dtype=table.dtype)
-        r[[0, j0]] = r[[j0, 0]]             # involutive relabeling
-        table = r[table[np.ix_(r, r)]]
-    return FiniteLoop(table)

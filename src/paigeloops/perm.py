@@ -577,9 +577,6 @@ class PermGroup:
             reached |= hit
         return np.nonzero(reached)[0]
 
-    def is_transitive(self):
-        return len(self.orbit(0)) == self.degree
-
     def point_stabilizer(self, pt):
         if not 0 <= pt < self.degree:
             raise DomainError("point out of range")
@@ -606,11 +603,6 @@ class PermGroup:
             for i in range(0, gs.shape[0], 2):
                 gens.append(Permutation(gs[i].copy(), _checked=True))
         return PermGroup(gens, degree=self.degree, _chain=tail)
-
-    def random_uniform(self, seed):
-        """One exactly uniform element, deterministic for a given seed."""
-        rng = np.random.default_rng(seed)
-        return Permutation(self._build().random_element(rng), _checked=True)
 
     def random_stream(self, count, seed):
         """count iid uniform elements from one seeded stream, drawn one at

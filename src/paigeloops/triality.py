@@ -5,16 +5,17 @@ direction-preserving part, the kernel of the action on the three line
 classes.  build_triality checks only the reflections whose axes the
 group generated so far does not reach (its docstring gives the
 argument): 7 of 360 at q = 2 and 6 of 3,240 at q = 3.  S is generated by
-the reflections in the three lines through a chosen origin, sigma = the
-class-1 one, and rho = sigma_1 * sigma_2 (left-to-right composition).
+the reflections in the three lines through the origin, the identity
+point (0, 0), sigma = the class-1 one, and rho = sigma_1 * sigma_2
+(left-to-right composition).
 
 Gamma0, Gamma and the reflections act on the net's 3n lines, with line id
 (class - 1)*n + value as in `nets`, and on the three parallel classes, the
 net's points at infinity, as points 3n, 3n + 1 and 3n + 2.  The action is
 faithful: a point is the meet of its class-1 and class-2 lines, so a
-collineation fixing every line fixes every point.  The origin (i0, j0) is
-the meet of lines i0 and n + j0.  Gamma0's one chain has the base
-3n, 3n + 1, i0, n + j0, ...: Gamma is the stabilizer of the class points,
+collineation fixing every line fixes every point.  The origin (0, 0) is
+the meet of lines 0 and n.  Gamma0's one chain has the base
+3n, 3n + 1, 0, n, ...: Gamma is the stabilizer of the class points,
 two levels down, and the origin stabilizer in Gamma is two levels below
 that; both are tails of the chain, read without a base change.
 
@@ -47,7 +48,6 @@ def _line_permutation(verdict, n):
 @dataclass(frozen=True)
 class TrialitySetup:
     net: object
-    origin: int            # a point id i*n + j
     gamma0: PermGroup
     gamma: PermGroup
     S_gens: tuple          # reflections at the origin's three lines
@@ -63,9 +63,9 @@ class TrialitySetup:
         return o0, og, o0 // og
 
 
-def build_triality(net, origin=0):
-    """Construct Gamma0, Gamma, and the origin reflections for a Moufang
-    net, all acting on its lines and line classes; raises
+def build_triality(net):
+    """Construct Gamma0, Gamma, and the reflections at the origin (0, 0)
+    for a Moufang net, all acting on its lines and line classes; raises
     NotMoufangNetError when a checked Bol reflection fails to be a
     collineation.
 
@@ -89,12 +89,9 @@ def build_triality(net, origin=0):
             bound=config.MAX_PERM_DEGREE)
     if n < 2:
         raise DomainError("net too small for a triality setup")
-    if not 0 <= origin < n * n:
-        raise DomainError("origin out of range")
-    i0, j0 = divmod(int(origin), n)
 
     c = 3 * n
-    origin_lines = net.point_lines(origin)
+    origin_lines = net.point_lines(0)
     reflections = []
     covered = np.zeros(c + 3, dtype=bool)
     for line in origin_lines + tuple(l for l in net.lines()
@@ -118,15 +115,14 @@ def build_triality(net, origin=0):
             np.flatnonzero(covered))] = True
 
     gamma0 = PermGroup(reflections, degree=c + 3,
-                       base_hint=[c, c + 1, i0, n + j0])
+                       base_hint=[c, c + 1, 0, n])
     if gamma0.basic_orbit_sizes()[:2] != [3, 2]:
         raise InternalError("the reflections do not act as S3 on the "
                             "line classes")
     gamma = gamma0.point_stabilizer(c).point_stabilizer(c + 1)
     s1, s2, s3 = reflections[:3]
-    return TrialitySetup(net=net, origin=int(origin), gamma0=gamma0,
-                         gamma=gamma, S_gens=(s1, s2, s3), sigma=s1,
-                         rho=s1 * s2)
+    return TrialitySetup(net=net, gamma0=gamma0, gamma=gamma,
+                         S_gens=(s1, s2, s3), sigma=s1, rho=s1 * s2)
 
 
 def _commutator(g, s):
@@ -233,11 +229,6 @@ def origin_stabilizer_automorphisms(T):
     alphas; its elements are listed only when .alphas is read."""
     net = T.net
     n = net.n
-    if T.origin != 0:
-        raise DomainError(
-            "the correspondence reads maps in the loop's own coordinates, "
-            "which requires the setup based at the identity point (0, 0); "
-            "coordinatize at the other origin with coordinate_loop first")
     stab = T.gamma.point_stabilizer(0).point_stabilizer(n)
     if T.gamma.order != n * n * stab.order:
         raise DomainError("Gamma is not transitive on the net's points")
@@ -278,7 +269,7 @@ def induced_automorphism_check(T, alpha):
     sharp = ((alpha * n)[:, None] + alpha[None, :]).ravel()
     v = is_collineation(net, sharp)
     fixes_lines = bool(v.ok) and all(
-        line_image(v, l) == l for l in net.point_lines(T.origin))
+        line_image(v, l) == l for l in net.point_lines(0))
     centralizes = False
     if v.ok:
         g = _line_permutation(v, n)

@@ -11,15 +11,14 @@ Norm (the quadratic form the algebra composes with): N = a*b - v.w.
 Conjugate: (b, a, -v, -w).
 
 Bulk functions act on int16 arrays of shape (..., 8) and gather from the
-field's operation tables; the scalar Octonion class rides on top of them.
+field's operation tables.
 """
 
 import numpy as np
 
 from . import config
 from .config import NORM_ONE_MAX_Q
-from .errors import DomainError, InternalError, LimitError
-from .gf import field
+from .errors import DomainError, LimitError
 
 A_, B_ = 0, 1
 V_ = slice(2, 5)
@@ -101,131 +100,6 @@ def oct_canonical(F, X):
     return np.where(take_neg[..., None], N, X).astype(np.int16, copy=False)
 
 
-class Octonion:
-    """One Zorn vector matrix; immutable; ordered by its 8-tuple."""
-
-    __slots__ = ("field", "coords")
-
-    def __init__(self, F, coords):
-        coords = tuple(int(c) for c in coords)
-        if len(coords) != 8:
-            raise DomainError(f"need 8 coordinates, got {len(coords)}")
-        for c in coords:
-            F.check(c)
-        object.__setattr__(self, "field", F)
-        object.__setattr__(self, "coords", coords)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Octonion is immutable")
-
-    @classmethod
-    def from_blocks(cls, F, a, v, w, b):
-        return cls(F, (a, b) + tuple(v) + tuple(w))
-
-    @classmethod
-    def zero(cls, F):
-        return cls(F, (0,) * 8)
-
-    @classmethod
-    def identity(cls, F):
-        return cls(F, (1, 1, 0, 0, 0, 0, 0, 0))
-
-    @classmethod
-    def basis(cls, F):
-        """The 8 unit vectors in canonical coordinate order."""
-        out = []
-        for i in range(8):
-            c = [0] * 8
-            c[i] = 1
-            out.append(cls(F, c))
-        return out
-
-    @property
-    def a(self):
-        return self.coords[0]
-
-    @property
-    def b(self):
-        return self.coords[1]
-
-    @property
-    def v(self):
-        return self.coords[2:5]
-
-    @property
-    def w(self):
-        return self.coords[5:8]
-
-    def _coerce(self, other):
-        if not isinstance(other, Octonion):
-            raise DomainError(f"cannot combine Octonion with {other!r}")
-        if other.field != self.field:
-            raise DomainError("octonions live in different fields")
-        return other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        r = oct_mul(self.field, np.array(self.coords, dtype=np.int16),
-                    np.array(other.coords, dtype=np.int16))
-        return Octonion(self.field, r)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        F = self.field
-        return Octonion(F, (F.add(x, y) for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        F = self.field
-        return Octonion(F, (F.sub(x, y) for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        F = self.field
-        return Octonion(F, (F.neg(x) for x in self.coords))
-
-    def scale(self, c):
-        F = self.field
-        return Octonion(F, (F.mul(c, x) for x in self.coords))
-
-    def norm(self):
-        return int(oct_norm(self.field, np.array(self.coords, dtype=np.int16)))
-
-    def conjugate(self):
-        F = self.field
-        return Octonion.from_blocks(
-            F, self.b, [F.neg(x) for x in self.v], [F.neg(x) for x in self.w], self.a
-        )
-
-    def canonical(self):
-        """Lexicographically smaller of self and -self."""
-        n = -self
-        return n if n.coords < self.coords else self
-
-    def __eq__(self, other):
-        return (isinstance(other, Octonion) and other.field == self.field
-                and other.coords == self.coords)
-
-    def __lt__(self, other):
-        return self.coords < self._coerce(other).coords
-
-    def __hash__(self):
-        return hash((self.field.q, self.coords))
-
-    def to_text(self):
-        F = self.field
-        return ";".join(F.format_element(c) for c in self.coords)
-
-    @classmethod
-    def from_text(cls, F, text):
-        parts = text.strip().split(";")
-        if len(parts) != 8:
-            raise DomainError(f"octonion text needs 8 fields, got {len(parts)}")
-        return cls(F, (F.parse_element(t) for t in parts))
-
-    def __repr__(self):
-        return f"Octonion({self.field!r}, {self.coords})"
-
-
 def _coord_block(q, first):
     """All q^7 tails (b, v1..v3, w1..w3) in lexicographic order, prefixed by
     the fixed first coordinate."""
@@ -253,33 +127,9 @@ def norm_one_array(F):
     return np.concatenate(chunks, axis=0)
 
 
-def norm_one_elements(F):
-    """Norm-one elements as Octonion objects, canonically ordered."""
-    return [Octonion(F, row) for row in norm_one_array(F)]
-
-
 def norm_one_count_formula(q):
     """Unit count q^3 (q^4 - 1), the independent cross-check for the scan."""
     return q**3 * (q**4 - 1)
-
-
-def two_unit_decompose(F, x):
-    """First (u, z) in canonical u-order with N(u) = N(z) = 1 and u + z = x."""
-    if isinstance(x, Octonion):
-        if x.field != F:
-            raise DomainError("octonion belongs to a different field")
-        coords = np.array(x.coords, dtype=np.int16)
-    else:
-        coords = np.array([F.check(c) for c in x], dtype=np.int16)
-        if coords.shape != (8,):
-            raise DomainError("need 8 coordinates")
-    units = norm_one_array(F)
-    rest = oct_sub(F, coords[None, :], units)
-    hits = np.nonzero(oct_norm(F, rest) == 1)[0]
-    if not len(hits):
-        raise InternalError(f"no two-unit decomposition found for {coords}")
-    i = int(hits[0])
-    return Octonion(F, units[i]), Octonion(F, rest[i])
 
 
 def check_composition(F, mode="full", n_samples=1_000_000, seed=0):

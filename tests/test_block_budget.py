@@ -9,9 +9,9 @@ import pytest
 
 from paigeloops import (NotLatinError, _kernels_py, aut_backtrack,
                         check_composition, check_moufang, conjugation_autos,
-                        field, loop_center, multiplication_group,
+                        field, is_simple, loop_center, multiplication_group,
                         origin_stabilizer_automorphisms, paige_loop,
-                        paige_representatives)
+                        paige_representatives, subloop_closure)
 from paigeloops.loops import FiniteLoop, _build_table, _check_latin
 from paigeloops.nets import net_from_loop
 from paigeloops.triality import build_triality
@@ -33,6 +33,8 @@ def _answers(loop5):
     out["divisions"] = hashlib.sha256(
         fresh.ldiv_table.tobytes() + fresh.rdiv_table.tobytes()).hexdigest()
     out["center"] = loop_center(M3).tolist()
+    out["closures"] = (is_simple(M3).simple,
+                       subloop_closure(M3, [1, 5, 17]).tolist())
     M2 = paige_loop(2)
     out["moufang"] = [check_moufang(L, mode="sample", n_samples=2_000,
                                     seed=3) for L in (M2, loop5)]
@@ -58,6 +60,7 @@ def test_one_byte_budget_gives_the_default_answers(monkeypatch, loop5):
     want = _answers(loop5)
     assert not want["moufang"][1] and want["moufang"][0]
     assert want["search"][0] == 12_096 and want["center"] == [0]
+    assert want["closures"][0] and len(want["closures"][1]) == 120
     rows = []
     blocks = _kernels_py._blocks
 

