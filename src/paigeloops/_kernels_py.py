@@ -33,9 +33,9 @@ relabels old ones, so sweep cursors and cached rows stay valid.
 Every GF(p)-linear map of the split octonions over GF(p^k) reaches a
 loop through one kernel, _linear_images: the map is its 8k x 8k matrix
 on base-p digits (_digit_matrices), applied to many octonions at once as
-an exact float32 product, reduced mod p and looked up by base-q key.
-The Paige table's rows (left multiplications) are such maps, and so are
-the unit conjugations and the Frobenius of autos.
+an exact float32 product, reduced mod p and looked up by key
+(zorn._oct_keys).  The Paige table's rows (left multiplications) are
+such maps, and so are the unit conjugations and the Frobenius of autos.
 
 One budget, _BLOCK_BYTES, bounds every bulk step here and in loops,
 zorn, autos and perm: each takes its rows from _blocks(lo, hi,
@@ -58,7 +58,7 @@ import copy
 import numpy as np
 
 from .errors import DomainError, InternalError
-from .zorn import oct_mul
+from .zorn import _oct_keys, oct_mul
 
 
 def _point_dtype(n):
@@ -289,17 +289,22 @@ def sweep_gen(lev, gi, startpos, bases, svs, genstacks, uinvs, poss, orbits,
     return nstop, None
 
 
+def _digit_basis(F):
+    """The (8k, 8) int16 octonions of the GF(p) basis of octonions over
+    GF(p^k), each 8k base-p digits, k per coordinate (F.digits): row r
+    has digit r equal to 1 and every other digit 0."""
+    return (np.eye(8, dtype=np.int16)[:, None]
+            * F.p ** np.arange(F.k, dtype=np.int16)[:, None]).reshape(-1, 8)
+
+
 def _digit_matrices(F, f):
     """The (b, 8k, 8k) int8 stack of the GF(p) matrices of b GF(p)-linear
-    maps of octonions over GF(p^k): f takes the (8k, 8) digit basis and
-    returns its (b, 8k, 8) images, or (8k, 8) for one map.  An octonion
-    is 8k base-p digits, k per coordinate (F.digits); basis row r has
-    digit r equal to 1, and row r of a matrix M holds the digits of its
-    image, so x maps to x @ M."""
+    maps of octonions over GF(p^k): f takes the (8k, 8) digit basis
+    (_digit_basis) and returns its (b, 8k, 8) images, or (8k, 8) for one
+    map.  Row r of a matrix M holds the digits of the image of basis row
+    r, so x maps to x @ M."""
     m = 8 * F.k
-    basis = (np.eye(8, dtype=np.int16)[:, None]
-             * F.p ** np.arange(F.k, dtype=np.int16)[:, None]).reshape(m, 8)
-    return F.digits.astype(np.int8)[f(basis)].reshape(-1, m, m)
+    return F.digits.astype(np.int8)[f(_digit_basis(F))].reshape(-1, m, m)
 
 
 def _floor_mod(P, p):
@@ -314,7 +319,7 @@ def _linear_images(F, mats, X, addr, out=None):
     """out[i, j] = addr[key of X[j] @ mats[i]], the loop index of Zorn
     matrix X[j] under map i of a _digit_matrices stack, with out made in
     addr's dtype if not given; returns out, or raises InternalError when
-    an image's key (the base-p number of its digits) is not in addr.
+    an image's key (zorn._oct_keys) is not in addr.
 
     Maps are taken in _blocks; one image costs its unreduced digits and
     their quotients by p in float32, and its key and value, 8 (8k + 2)
@@ -326,10 +331,9 @@ def _linear_images(F, mats, X, addr, out=None):
     n, m = len(X), 8 * k
     if out is None:
         out = np.empty((len(mats), n), dtype=addr.dtype)
-    weights = (F.q ** np.arange(7, -1, -1)[:, None]
-               * p ** np.arange(k)).ravel()
-    weights = weights.astype(np.float32 if F.q ** 8 <= 1 << 24
-                             else np.float64)
+    # the key of x is the sum of its digits times the basis keys
+    weights = _oct_keys(F.q, _digit_basis(F)).astype(
+        np.float32 if F.q ** 8 <= 1 << 24 else np.float64)
     R = F.digits.astype(np.float32).take(X, axis=0).reshape(n, m)
     for i0, i1 in _blocks(0, len(mats), 8 * n * (m + 2)):
         M = mats[i0:i1]

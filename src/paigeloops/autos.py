@@ -32,7 +32,7 @@ from .loops import (
     paige_representatives,
 )
 from .perm import Permutation, PermGroup, _Chain
-from .zorn import oct_conj, oct_mul, oct_norm
+from .zorn import _oct_from_keys, oct_conj, oct_mul, oct_norm
 
 __all__ = [
     "LoopAutomorphism",
@@ -246,9 +246,9 @@ def frobenius_on_paige(q):
     entrywise, checked by _algebra_automorphisms and, as a bijection, by
     Permutation, with no Cayley table built.  Its images are looked up in
     the address book of +-x keys, so they need no canonical form."""
-    p, k = _factor_prime_power(q)
     if q > 9:
         raise DomainError("supported up to q = 9")
+    p, k = _factor_prime_power(q)
     F = field(q)
     # paige_loop's table-cell bound refuses q >= 5 before the q^8 scan
     _check_table_cells(paige_order_formula(q))
@@ -272,11 +272,12 @@ def _conjugation_setup(F):
     only the Zorn matrices of nonzero norm whose first nonzero coordinate
     is 1 are kept.  The Zorn product is bilinear, so x -> (u x) u^{-1} is
     GF(p)-linear, with its digit matrix built by oct_mul.  addr maps the
-    base-q key of x or -x to the loop index of the class {x, -x}."""
+    key of x or -x to the loop index of the class {x, -x}."""
     q = F.q
-    grid = np.indices((q,) * 8).reshape(8, -1).T.astype(np.int16)
-    lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
-    units = grid[(lead == 1) & (oct_norm(F, grid) != 0)]
+    # the keys of the octonions led by a 1 are the ranges [q^j, 2 q^j)
+    lead1 = _oct_from_keys(q, np.concatenate(
+        [np.arange(q ** j, 2 * q ** j) for j in range(8)]))
+    units = lead1[oct_norm(F, lead1) != 0]
     inv_norms = F.inv_table[oct_norm(F, units)]
     uinvs = F.mul_table[inv_norms[:, None], oct_conj(F, units)]
     mats = _digit_matrices(F, lambda B: oct_mul(
@@ -336,9 +337,9 @@ def aut_summary(q, methods=None):
     exhaustive backtrack is among the methods, as it is by default.  At
     q = 2 the conjugation supply alone generates only an index-2 subgroup.
     """
-    p, k = _factor_prime_power(q)
     if q > 9:
         raise DomainError("supported up to q = 9")
+    p, k = _factor_prime_power(q)
     predicted = g2_order(q) * k
     if q not in (2, 3):
         if methods is not None:

@@ -198,11 +198,10 @@ class Field:
 
 @functools.lru_cache(maxsize=None)
 def field(q):
-    """Shared Field instance for GF(q); DomainError if q is not a prime power,
-    LimitError above the configured bound."""
+    """Shared Field instance for GF(q); LimitError above the configured
+    bound, checked first, else DomainError if q is not a prime power."""
     if isinstance(q, bool) or not isinstance(q, int):
         raise DomainError(f"q must be an int, got {q!r}")
-    p, k = _factor_prime_power(q)
     if q > FIELD_MAX_Q:
         raise LimitError(f"q = {q} exceeds the field bound {FIELD_MAX_Q}",
                          bound=FIELD_MAX_Q)

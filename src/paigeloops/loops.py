@@ -20,8 +20,8 @@ from .errors import (DomainError, InternalError, LimitError,
                      NotLatinError)
 from .gf import field
 from .perm import PermGroup
-from .zorn import (norm_one_array, norm_one_count_formula, oct_canonical,
-                   oct_neg)
+from .zorn import (_oct_keys, norm_one_array, norm_one_count_formula,
+                   oct_canonical, oct_neg)
 
 
 def _check_latin(table):
@@ -123,12 +123,6 @@ def loop_from_table(table, labels=None):
 # -- Paige loops ---------------------------------------------------------
 
 
-def _rep_address(q, reps):
-    """Big-endian base-q key for each representative row."""
-    weights = q ** np.arange(7, -1, -1, dtype=np.int64)
-    return reps.astype(np.int64) @ weights
-
-
 def _identity_to_front(reps):
     """Swap the identity row (1,1,0,...,0) to index 0."""
     idrow = np.array([1, 1, 0, 0, 0, 0, 0, 0], dtype=reps.dtype)
@@ -149,8 +143,8 @@ def _check_table_cells(n):
 
 
 def _address_book(F, reps):
-    """addr[key] = row of reps whose base-q key is key, or whose negative
-    has that key, else -1; an int32 array over all q^8 keys.
+    """addr[key] = row of reps whose key (zorn._oct_keys) is key, or whose
+    negative has that key, else -1; an int32 array over all q^8 keys.
 
     The keys of -x are written first and those of x last, so a key that is
     itself a representative maps to its own row: M*(q) looks up x and -x
@@ -159,8 +153,8 @@ def _address_book(F, reps):
     q = F.q
     addr = np.full(q ** 8, -1, dtype=np.int32)
     rows = np.arange(len(reps), dtype=np.int32)
-    addr[_rep_address(q, oct_neg(F, reps))] = rows
-    addr[_rep_address(q, reps)] = rows
+    addr[_oct_keys(q, oct_neg(F, reps))] = rows
+    addr[_oct_keys(q, reps)] = rows
     return addr
 
 

@@ -49,6 +49,8 @@ Base points: level 0 uses the least point moved by any input generator
 uses the least point moved by the residue that created it.
 """
 
+import math
+
 import numpy as np
 
 from . import _kernels_py as _kernels
@@ -118,19 +120,7 @@ class Permutation:
                                               dtype=np.int32)).all())
 
     def order(self):
-        seen = np.zeros(self.degree, dtype=bool)
-        out = 1
-        for i in range(self.degree):
-            if seen[i]:
-                continue
-            ln = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = int(self.images[j])
-                ln += 1
-            out = _lcm(out, ln)
-        return out
+        return math.lcm(*map(len, self.cycles()))
 
     def cycles(self):
         """Nontrivial cycles as tuples, each starting at its least point."""
@@ -186,11 +176,6 @@ class Permutation:
         return f"Permutation(degree={self.degree})"
 
 
-def _lcm(a, b):
-    import math
-    return a // math.gcd(a, b) * b
-
-
 def _words(rows):
     """The product of rows[0::2] and the product of rows[1::2], each
     composed in input order, one composition per row of a block of rows
@@ -225,7 +210,6 @@ class _Chain:
         self.norbits = []
         self.uinvs = []
         self.done = []
-        self.complete = False
 
     # -- structure -----------------------------------------------------
 
@@ -301,7 +285,6 @@ class _Chain:
                 np.ascontiguousarray(two)
             self.done[l].append(0)
             self._extend_orbit(l)
-        self.complete = False
 
     def sweep_level(self, l):
         """Sweep all pending Schreier generators of level l; return the
@@ -333,7 +316,6 @@ class _Chain:
                 j = self._stuck_level(residue)
                 self.insert_gen(residue, j, lo=l + 1)
                 l = min(j, self.nlevels() - 1)
-        self.complete = True
 
     def add_input_generator(self, images):
         """Sift one input generator; extend the chain unless it is already
@@ -449,7 +431,6 @@ class _Chain:
         t.norbits = self.norbits[1:]
         t.uinvs = [None] * len(t.bases)
         t.done = [list(x) for x in self.done[1:]]
-        t.complete = True
         return t
 
 

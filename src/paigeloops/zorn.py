@@ -2,7 +2,10 @@
 
 An element is a 2x2 block matrix (a, v; w, b) with a, b scalars and v, w
 3-vectors over the field.  The canonical flat encoding used everywhere is the
-8-tuple (a, b, v1, v2, v3, w1, w2, w3), compared lexicographically.
+8-tuple (a, b, v1, v2, v3, w1, w2, w3), compared lexicographically.  Its
+key, the tuple read as a big-endian base-q number (_oct_keys, inverted by
+_oct_from_keys), names an octonion in address books and scans, and key
+order is tuple order.
 
 Product:  (a1, v1; w1, b1)(a2, v2; w2, b2) =
     (a1*a2 + v1.w2,  a1*v2 + b2*v1 - w1 x w2;
@@ -83,33 +86,34 @@ def oct_conj(F, X):
     return out
 
 
+def _oct_keys(q, X):
+    """The key of each octonion row of X: its 8 coordinates read as a
+    big-endian base-q number, so that key order is coordinate-tuple
+    order; int64, accumulated a column at a time."""
+    X = np.asarray(X)
+    keys = np.zeros(X.shape[:-1], dtype=np.int64)
+    for i in range(8):
+        keys *= q
+        keys += X[..., i]
+    return keys
+
+
+def _oct_from_keys(q, keys):
+    """The int16 octonion rows whose keys (see _oct_keys) are keys,
+    decoded one coordinate column at a time."""
+    keys = np.asarray(keys)
+    out = np.empty(keys.shape + (8,), dtype=np.int16)
+    for i in range(8):
+        out[..., i] = keys // q ** (7 - i) % q
+    return out
+
+
 def oct_canonical(F, X):
     """Rowwise lexicographic min of X and -X (the {x, -x} coset label)."""
     X = np.asarray(X)
-    if F.p == 2:
-        return X.astype(np.int16, copy=False)
     N = oct_neg(F, X)
-    # lexicographic compare along the last axis
-    take_neg = np.zeros(X.shape[:-1], dtype=bool)
-    undecided = np.ones(X.shape[:-1], dtype=bool)
-    for i in range(8):
-        lt = undecided & (N[..., i] < X[..., i])
-        gt = undecided & (N[..., i] > X[..., i])
-        take_neg |= lt
-        undecided &= ~(lt | gt)
+    take_neg = _oct_keys(F.q, N) < _oct_keys(F.q, X)
     return np.where(take_neg[..., None], N, X).astype(np.int16, copy=False)
-
-
-def _coord_block(q, first):
-    """All q^7 tails (b, v1..v3, w1..w3) in lexicographic order, prefixed by
-    the fixed first coordinate."""
-    n = q**7
-    idx = np.arange(n, dtype=np.int64)
-    out = np.empty((n, 8), dtype=np.int16)
-    out[:, 0] = first
-    for j in range(7):
-        out[:, 1 + j] = (idx // q ** (6 - j)) % q
-    return out
 
 
 def norm_one_array(F):
@@ -119,11 +123,11 @@ def norm_one_array(F):
             f"norm-one enumeration capped at q = {NORM_ONE_MAX_Q}, got {F.q}",
             bound=NORM_ONE_MAX_Q,
         )
+    q = F.q
     chunks = []
-    for a in range(F.q):
-        block = _coord_block(F.q, a)
-        keep = oct_norm(F, block) == 1
-        chunks.append(block[keep])
+    for a in range(q):
+        block = _oct_from_keys(q, np.arange(a * q ** 7, (a + 1) * q ** 7))
+        chunks.append(block[oct_norm(F, block) == 1])
     return np.concatenate(chunks, axis=0)
 
 
@@ -136,7 +140,9 @@ def check_composition(F, mode="full", n_samples=1_000_000, seed=0):
     """Sweep N(xy) = N(x) N(y) over pairs of octonions.
 
     Full mode covers all q^16 pairs (bounded to q <= 2) a block at a
-    time, a pair costing 48 bytes of products, norms and gather indices.
+    time, in key order (see _oct_keys), a pair costing 48 bytes of
+    products, norms and gather indices and 56 of its pair index, keys
+    and coordinates.
     Sample mode draws the coordinates of X and then of Y from a seeded
     generator, in two rng.integers(0, q, size=(n_samples, 8)) draws,
     streamed a block at a time by _kernels_py._sample_blocks, whose
@@ -158,12 +164,12 @@ def check_composition(F, mode="full", n_samples=1_000_000, seed=0):
         if q > 2:
             raise LimitError("full composition sweep runs at q = 2 only; "
                              "use sample mode", bound=2)
-        grid = np.indices((q,) * 8).reshape(8, -1).T.astype(np.int16)
-        m = len(grid)
-        X = np.repeat(grid, m, axis=0)
-        Y = np.tile(grid, (m, 1))
-        count = len(X)
-        pairs = ((X[lo:hi], Y[lo:hi]) for lo, hi in _blocks(0, count, 48))
+        # pair i is x, y with keys i // q^8 and i % q^8
+        m = q ** 8
+        count = m * m
+        pairs = ((_oct_from_keys(q, np.arange(lo, hi) // m),
+                  _oct_from_keys(q, np.arange(lo, hi) % m))
+                 for lo, hi in _blocks(0, count, 104))
     else:
         count, seed = _sample_args(n_samples, seed)
         if 16 * count > config.MAX_TABLE_CELLS:
@@ -186,22 +192,15 @@ def check_composition(F, mode="full", n_samples=1_000_000, seed=0):
 
 def check_two_unit_decomposition(F):
     """Verify every one of the q^8 octonions is a sum of two norm-one
-    elements.  Returns (passed, count_checked, counterexample)."""
+    elements: the sums u + z of each unit u with every unit z are marked
+    in one q^8 hit table, a unit at a time, until it is full.  Returns
+    (passed, count_checked, counterexample)."""
     q = F.q
     units = norm_one_array(F)
-    # every sum u + z of two units, marked in one q^8 hit table
-    m = len(units)
     hit = np.zeros(q ** 8, dtype=bool)
-    weights = q ** np.arange(7, -1, -1, dtype=np.int64)
-    for i in range(m):
-        s = oct_add(F, units[i][None, :], units)
-        hit[s.astype(np.int64) @ weights] = True
-    missing = np.nonzero(~hit)[0]
-    if len(missing):
-        val = int(missing[0])
-        coords = []
-        for w in weights:
-            coords.append(int(val // w))
-            val %= int(w)
-        return False, q ** 8, tuple(coords)
-    return True, q ** 8, None
+    for u in units:
+        hit[_oct_keys(q, oct_add(F, u, units))] = True
+        if hit.all():
+            return True, q ** 8, None
+    missing = int(np.argmin(hit))
+    return False, q ** 8, tuple(_oct_from_keys(q, missing).tolist())

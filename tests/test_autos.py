@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from paigeloops import (DomainError, FiniteLoop, LimitError,
                         frobenius_on_paige, g2_order, is_loop_automorphism,
                         loop_from_table, paige_representatives)
 from paigeloops._kernels_py import _digit_matrices, _linear_images
-from paigeloops.loops import _rep_address
-from paigeloops.zorn import oct_canonical, oct_conj, oct_mul, oct_norm
+from paigeloops.zorn import (_oct_keys, oct_canonical, oct_conj, oct_mul,
+                             oct_norm)
 
 
 def test_g2_orders():
@@ -318,7 +319,7 @@ def test_conjugation_matrices_match_the_zorn_product(q):
         u, ui = units[s:s + 60, None], uinvs[s:s + 60, None]
         want = oct_canonical(F, oct_mul(F, oct_mul(F, u, reps[None]), ui))
         got = _linear_images(F, mats[s:s + 60], reps, addr)
-        assert (got == addr[_rep_address(q, want)]).all()
+        assert (got == addr[_oct_keys(q, want)]).all()
 
 
 def _int64_images(F, mats, X, addr):
@@ -329,7 +330,7 @@ def _int64_images(F, mats, X, addr):
     D = F.digits[X].reshape(len(X), 8 * k).astype(np.int64)
     z = np.matmul(D, mats.astype(np.int64)) % p
     coords = z.reshape(len(mats), len(X), 8, k) @ p ** np.arange(k)
-    return addr[_rep_address(F.q, coords)]
+    return addr[_oct_keys(F.q, coords)]
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -353,7 +354,7 @@ def test_float32_images_match_an_int64_reference(q):
             assert np.array_equal(_linear_images(F, M, reps, addr),
                                   _int64_images(F, M, reps, addr))
     assert np.array_equal(_linear_images(F, frob, reps, addr)[0],
-                          addr[_rep_address(q, F.frob_table[reps])])
+                          addr[_oct_keys(q, F.frob_table[reps])])
 
 
 def test_conjugation_full_checks_only_growing_maps(monkeypatch, conj2):
@@ -446,6 +447,16 @@ def test_frobenius_bounds():
         frobenius_on_paige(9)
     with pytest.raises(DomainError):
         frobenius_on_paige(16)
+
+
+def test_large_q_is_refused_before_factoring():
+    """aut_summary and frobenius_on_paige refuse q > 9 before they factor
+    q, which at a prime near 10^12 would take minutes."""
+    t0 = time.perf_counter()
+    for f in (aut_summary, frobenius_on_paige):
+        with pytest.raises(DomainError):
+            f(999_999_999_989)
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_aut_summary_exact_q2(aut2, conj2):

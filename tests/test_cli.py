@@ -169,6 +169,13 @@ def test_aut_count_limit_exits_3():
     assert "limit" in out.stderr
 
 
+def test_non_prime_power_past_the_field_bound_exits_3():
+    """The field bound is checked before q is factored."""
+    out = run_cli("loop", "build", "--q", "26")
+    assert out.returncode == 3
+    assert "limit" in out.stderr
+
+
 def test_aut_count_conjugation_limit_exits_3():
     out = run_cli("aut", "count", "--method", "conjugation", "--q", "5")
     assert out.returncode == 3

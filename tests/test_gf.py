@@ -1,4 +1,5 @@
 import hashlib
+import time
 
 import numpy as np
 import pytest
@@ -190,6 +191,18 @@ def test_field_size_limit():
     with pytest.raises(LimitError):
         field(FIELD_MAX_Q + 2)
     assert field(FIELD_MAX_Q).q == FIELD_MAX_Q
+
+
+def test_size_bound_is_checked_before_factoring():
+    """A prime near 10^12 is refused at once, where trial division up to
+    it would take minutes; a non-prime-power past the bound is refused by
+    the bound too."""
+    t0 = time.perf_counter()
+    with pytest.raises(LimitError):
+        field(999_999_999_989)
+    assert time.perf_counter() - t0 < 0.1
+    with pytest.raises(LimitError):
+        field(26)
 
 
 def test_field_cache_and_equality():

@@ -17,7 +17,7 @@ from paigeloops import (DomainError, InternalError, LimitError,
                         paige_loop, paige_order_enumerated,
                         paige_order_formula, paige_representatives,
                         save_tbl, subloop_closure, unit_loop)
-from paigeloops.zorn import oct_canonical, oct_mul, oct_neg
+from paigeloops.zorn import _oct_keys, oct_canonical, oct_mul, oct_neg
 
 
 def test_table_validation():
@@ -674,14 +674,14 @@ def test_address_book_looks_up_both_signs():
         reps = paige_representatives(q)
         addr = loops._address_book(F, reps)
         rows = np.arange(len(reps))
-        assert (addr[loops._rep_address(q, reps)] == rows).all()
-        assert (addr[loops._rep_address(q, oct_neg(F, reps))] == rows).all()
+        assert (addr[_oct_keys(q, reps)] == rows).all()
+        assert (addr[_oct_keys(q, oct_neg(F, reps))] == rows).all()
         assert np.count_nonzero(addr >= 0) == len(reps) * (2 if q == 3 else 1)
     # the unit loop holds x and -x apart: each key maps to its own row
     F = field(3)
     units = loops._identity_to_front(loops.norm_one_array(F))
     addr = loops._address_book(F, units)
-    assert (addr[loops._rep_address(3, units)] ==
+    assert (addr[_oct_keys(3, units)] ==
             np.arange(len(units))).all()
 
 
@@ -693,8 +693,8 @@ def test_missing_product_raises(monkeypatch):
     def holed(F, reps):
         addr = book(F, reps).copy()
         x = reps[5:6]
-        addr[loops._rep_address(F.q, x)] = -1
-        addr[loops._rep_address(F.q, oct_neg(F, x))] = -1
+        addr[_oct_keys(F.q, x)] = -1
+        addr[_oct_keys(F.q, oct_neg(F, x))] = -1
         return addr
 
     monkeypatch.setattr(loops, "_address_book", holed)
@@ -731,5 +731,5 @@ def test_fill_over_gf4_matches_zorn_products():
     sub = reps[::97]
     out = np.empty((len(sub), len(sub)), dtype=np.int32)
     _kernels_py.paige_table(F, sub, addr, out)
-    want = addr[loops._rep_address(4, oct_mul(F, sub[:, None], sub[None]))]
+    want = addr[_oct_keys(4, oct_mul(F, sub[:, None], sub[None]))]
     assert (out == want).all()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -175,3 +177,43 @@ def test_canonical_picks_sign_representative():
 def test_two_unit_decomposition_sweep(q):
     passed, checked, missing = check_two_unit_decomposition(field(q))
     assert passed and checked == q**8 and missing is None
+
+
+def test_two_unit_scan_stops_once_every_key_is_hit(monkeypatch):
+    """At q = 3 the sums of the first 469 of the 2,160 units with every
+    unit already cover all 6,561 octonions."""
+    calls = []
+    add = zorn.oct_add
+
+    def counted(F, X, Y):
+        calls.append(1)
+        return add(F, X, Y)
+
+    monkeypatch.setattr(zorn, "oct_add", counted)
+    assert check_two_unit_decomposition(field(3)) == (True, 3 ** 8, None)
+    assert len(calls) == 469
+
+
+def test_two_unit_scan_names_the_least_missing_octonion(monkeypatch):
+    """With only five units the scan fails, and its counterexample is the
+    least coordinate tuple that no sum of two of them reaches."""
+    F = field(3)
+    units = norm_one_array(F)[:5]
+    monkeypatch.setattr(zorn, "norm_one_array", lambda F: units)
+    sums = {tuple(F.add(a, b) for a, b in zip(u, z))
+            for u in units.tolist() for z in units.tolist()}
+    least = next(x for x in itertools.product(range(3), repeat=8)
+                 if x not in sums)
+    assert check_two_unit_decomposition(F) == (False, 3 ** 8, least)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_keys_are_tuple_order_and_invert(q):
+    """_oct_keys numbers all q^8 octonions 0..q^8-1 in coordinate-tuple
+    order, and _oct_from_keys gives them back from their keys."""
+    X = np.array(list(itertools.product(range(q), repeat=8)), dtype=np.int16)
+    keys = np.arange(q ** 8)
+    assert np.array_equal(zorn._oct_keys(q, X), keys)
+    back = zorn._oct_from_keys(q, keys)
+    assert back.dtype == np.int16 and np.array_equal(back, X)
+    assert zorn._oct_from_keys(q, 5).tolist() == list(X[5])
